@@ -110,7 +110,7 @@ impl Btb1 {
         Btb1 {
             keys: vec![0; slots],
             entries: vec![None; slots],
-            lru: (0..cfg.rows).flat_map(|_| lru_fresh_ranks(cfg.ways)).collect(),
+            lru: lru_fresh_ranks(cfg.ways).collect::<Vec<u8>>().repeat(cfg.rows),
             line_bytes: cfg.search_bytes,
             line_shift: cfg.search_bytes.trailing_zeros(),
             tag_bits: cfg.tag_bits,

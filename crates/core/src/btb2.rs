@@ -78,19 +78,47 @@ pub struct Btb2Stats {
     pub exclusive_invalidates: u64,
 }
 
-/// The BTB2 structure plus its staging queue toward the BTB1.
-///
-/// Row storage is struct-of-arrays like the BTB1's: one flat entry
-/// array (slot = row × ways + way) and one flat LRU byte array, so a
-/// backing-store sweep over [`Btb2Config::search_lines`] consecutive
-/// lines walks contiguous memory instead of chasing a heap `Vec` per
-/// row.
+/// Rows per page of BTB2 storage. A power of two, so splitting a row
+/// into (page, row-in-page) compiles to a shift and a mask.
+const PAGE_ROWS: usize = 64;
+
+/// One page of [`PAGE_ROWS`] consecutive BTB2 rows, laid out
+/// struct-of-arrays like the BTB1 (slot = row-in-page × ways + way).
 #[derive(Debug, Clone)]
-pub struct Btb2 {
-    /// Entry payload per slot; slot = row × ways + way.
+struct Page {
+    /// Entry payload per slot.
     entries: Vec<Option<BtbEntry>>,
     /// LRU age per slot (0 = MRU within its row).
     lru: Vec<u8>,
+}
+
+impl Page {
+    /// A page of empty rows with fresh LRU ranks.
+    fn new(ways: usize) -> Box<Page> {
+        Box::new(Page {
+            entries: vec![None; PAGE_ROWS * ways],
+            lru: lru_fresh_ranks(ways).collect::<Vec<u8>>().repeat(PAGE_ROWS),
+        })
+    }
+}
+
+/// The BTB2 structure plus its staging queue toward the BTB1.
+///
+/// Rows are stored in fixed pages of 64 rows, each a
+/// struct-of-arrays block (entries plus LRU ranks), so a backing-store
+/// sweep over [`Btb2Config::search_lines`] consecutive lines walks
+/// contiguous memory within a page. A page is allocated the first time
+/// [`fill`](Btb2::fill) writes into one of its rows; until then every
+/// read port sees its rows as empty. A short stream touches a few
+/// hundred of the 32K z15 rows, so building (and thus recycling) a
+/// predictor writes no empty slots, and cloning the table copies only
+/// the pages in use.
+#[derive(Debug, Clone)]
+pub struct Btb2 {
+    /// Row pages in row order; `None` until first filled. When the row
+    /// count is not a multiple of [`PAGE_ROWS`], the last page's
+    /// trailing rows are never indexed and stay empty.
+    pages: Vec<Option<Box<Page>>>,
     nrows: usize,
     cfg: Btb2Config,
     line_bytes: u64,
@@ -110,12 +138,12 @@ pub struct Btb2 {
 
 impl Btb2 {
     /// Builds an empty BTB2. `line_bytes` is the BTB1 line granularity
-    /// (entries keep their BTB1-format tags/offsets on transfer).
+    /// (entries keep their BTB1-format tags/offsets on transfer). No
+    /// row storage is allocated until the first fill.
     pub fn new(cfg: &Btb2Config, line_bytes: u64) -> Self {
         assert!(line_bytes.is_power_of_two(), "line granularity must be a power of two");
         Btb2 {
-            entries: vec![None; cfg.rows * cfg.ways],
-            lru: (0..cfg.rows).flat_map(|_| lru_fresh_ranks(cfg.ways)).collect(),
+            pages: vec![None; cfg.rows.div_ceil(PAGE_ROWS)],
             nrows: cfg.rows,
             cfg: cfg.clone(),
             line_bytes,
@@ -136,36 +164,39 @@ impl Btb2 {
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.iter().count()
     }
 
-    fn row_index(&self, addr: InstrAddr) -> usize {
+    /// The page holding `addr`'s row and the row's first slot within
+    /// that page.
+    fn locate(&self, addr: InstrAddr) -> (usize, usize) {
         let line = addr.raw() & !(self.line_bytes - 1);
-        index_of(line >> self.line_shift, self.nrows)
+        let row = index_of(line >> self.line_shift, self.nrows);
+        (row / PAGE_ROWS, (row % PAGE_ROWS) * self.cfg.ways)
     }
 
     /// Writes an entry into the BTB2 (fill from a BTB1 victim, a
     /// periodic refresh, or an initial preload). Duplicates (same
-    /// tag/offset in the row) are overwritten in place.
+    /// tag/offset in the row) are overwritten in place. This is the
+    /// only write port, so it is where a row's page is allocated.
     pub fn fill(&mut self, entry: BtbEntry) {
         let ways = self.cfg.ways;
-        let base = self.row_index(entry.branch_addr) * ways;
-        let row = &mut self.entries[base..base + ways];
+        let (p, base) = self.locate(entry.branch_addr);
+        let page = self.pages[p].get_or_insert_with(|| Page::new(ways));
+        let lru = &mut page.lru[base..base + ways];
+        let row = &mut page.entries[base..base + ways];
         for (w, e) in row.iter_mut().enumerate() {
             if let Some(existing) = e {
                 if existing.matches(entry.tag, entry.offset_hw) {
                     *existing = entry;
-                    lru_touch(&mut self.lru[base..base + ways], w);
+                    lru_touch(lru, w);
                     return;
                 }
             }
         }
-        let way = row
-            .iter()
-            .position(|e| e.is_none())
-            .unwrap_or_else(|| lru_victim(&self.lru[base..base + ways]));
+        let way = row.iter().position(|e| e.is_none()).unwrap_or_else(|| lru_victim(lru));
         row[way] = Some(entry);
-        lru_touch(&mut self.lru[base..base + ways], way);
+        lru_touch(lru, way);
     }
 
     /// Records a periodic-refresh writeback (semi-inclusive mode).
@@ -178,8 +209,9 @@ impl Btb2 {
     /// promotion to BTB1). Returns whether anything was removed.
     pub fn invalidate(&mut self, entry: &BtbEntry) -> bool {
         let ways = self.cfg.ways;
-        let base = self.row_index(entry.branch_addr) * ways;
-        for e in self.entries[base..base + ways].iter_mut() {
+        let (p, base) = self.locate(entry.branch_addr);
+        let Some(page) = self.pages[p].as_deref_mut() else { return false };
+        for e in page.entries[base..base + ways].iter_mut() {
             if let Some(v) = e {
                 if v.matches(entry.tag, entry.offset_hw) {
                     *e = None;
@@ -263,10 +295,12 @@ impl Btb2 {
         let mut hit_ways = Vec::new();
         for l in 0..self.cfg.search_lines as u64 {
             let line_addr = InstrAddr::new(start_line + l * self.line_bytes);
-            let base = self.row_index(line_addr) * ways;
+            let (p, base) = self.locate(line_addr);
+            // A row in a never-filled page is empty.
+            let Some(page) = self.pages[p].as_deref_mut() else { continue };
             // Collect hits first, then touch LRU.
             hit_ways.clear();
-            for (w, e) in self.entries[base..base + ways].iter().enumerate() {
+            for (w, e) in page.entries[base..base + ways].iter().enumerate() {
                 if let Some(e) = e {
                     // A row holds entries from many lines (aliasing);
                     // qualify by true line in the model.
@@ -277,7 +311,7 @@ impl Btb2 {
                 }
             }
             for &(w, e) in &hit_ways {
-                lru_touch(&mut self.lru[base..base + ways], w);
+                lru_touch(&mut page.lru[base..base + ways], w);
                 if self.staging.len() < self.cfg.staging_capacity {
                     self.staging.push_back(e);
                     staged += 1;
@@ -300,19 +334,22 @@ impl Btb2 {
         self.staging.len()
     }
 
-    /// Iterates over all valid entries (verification use).
+    /// Iterates over all valid entries in slot order, row by row
+    /// (verification use).
     pub fn iter(&self) -> impl Iterator<Item = &BtbEntry> {
-        self.entries.iter().flatten()
+        self.pages.iter().flatten().flat_map(|page| page.entries.iter().flatten())
     }
 
     /// Whether an entry for this exact slot exists (verification use).
     pub fn contains(&self, entry: &BtbEntry) -> bool {
         let ways = self.cfg.ways;
-        let base = self.row_index(entry.branch_addr) * ways;
-        self.entries[base..base + ways]
-            .iter()
-            .flatten()
-            .any(|e| e.matches(entry.tag, entry.offset_hw))
+        let (p, base) = self.locate(entry.branch_addr);
+        self.pages[p].as_deref().is_some_and(|page| {
+            page.entries[base..base + ways]
+                .iter()
+                .flatten()
+                .any(|e| e.matches(entry.tag, entry.offset_hw))
+        })
     }
 }
 
@@ -336,6 +373,93 @@ mod tests {
             64,
             14,
         )
+    }
+
+    /// The row the index hash assigns `addr`'s 64-byte line to,
+    /// derived without going through the page split under test.
+    fn row_of(b: &Btb2, addr: u64) -> usize {
+        index_of(addr >> 6, b.nrows)
+    }
+
+    /// The first branch address (at offset 4 of its line) that maps to
+    /// `row`.
+    fn addr_in_row(b: &Btb2, row: usize) -> u64 {
+        (0..1u64 << 24).map(|l| 0x10004 + l * 64).find(|&a| row_of(b, a) == row).unwrap()
+    }
+
+    fn pages_in_use(b: &Btb2) -> usize {
+        b.pages.iter().flatten().count()
+    }
+
+    #[test]
+    fn never_filled_pages_read_empty_without_allocating() {
+        let mut b = btb2();
+        let e = entry(0x10004);
+        assert_eq!(b.search(InstrAddr::new(0x10000), SearchReason::SuccessiveMisses), 0);
+        assert!(!b.invalidate(&e));
+        assert!(!b.contains(&e));
+        assert_eq!(b.occupancy(), 0);
+        assert_eq!(pages_in_use(&b), 0, "reads must not materialize pages");
+        // One fill materializes exactly one page; reads elsewhere still
+        // allocate nothing.
+        b.fill(entry(addr_in_row(&b, 0)));
+        let far = entry(addr_in_row(&b, 5 * PAGE_ROWS));
+        assert_eq!(b.search(far.branch_addr, SearchReason::ContextChange), 0);
+        assert!(!b.invalidate(&far));
+        assert!(!b.contains(&far));
+        assert_eq!(pages_in_use(&b), 1);
+        assert_eq!(b.stats.exclusive_invalidates, 0);
+    }
+
+    #[test]
+    fn fills_straddling_a_page_boundary_land_in_their_rows() {
+        let mut b = btb2();
+        let last = entry(addr_in_row(&b, PAGE_ROWS - 1));
+        let first = entry(addr_in_row(&b, PAGE_ROWS));
+        b.fill(last);
+        b.fill(first);
+        assert_eq!(pages_in_use(&b), 2);
+        let ways = b.cfg.ways;
+        let p0 = b.pages[0].as_deref().unwrap();
+        let p1 = b.pages[1].as_deref().unwrap();
+        assert_eq!(p0.entries[(PAGE_ROWS - 1) * ways], Some(last), "last row of page 0, way 0");
+        assert_eq!(p1.entries[0], Some(first), "first row of page 1, way 0");
+        assert_eq!(p0.entries.iter().flatten().count(), 1);
+        assert_eq!(p1.entries.iter().flatten().count(), 1);
+        assert!(b.contains(&last) && b.contains(&first));
+        assert_eq!(b.search(last.branch_addr, SearchReason::SuccessiveMisses), 1);
+        assert_eq!(b.pop_staged(), Some(last));
+        assert!(b.invalidate(&first));
+        assert!(b.contains(&last) && !b.contains(&first));
+    }
+
+    #[test]
+    fn iter_walks_slots_in_row_major_order_across_pages() {
+        let mut b = btb2();
+        // Rows spread over several pages, filled out of order, two ways
+        // deep in one row.
+        let rows = [9 * PAGE_ROWS + 3, 2, PAGE_ROWS, 300 * PAGE_ROWS - 1, 2 * PAGE_ROWS + 17, 1];
+        let mut filled = Vec::new();
+        for &r in &rows {
+            let e = entry(addr_in_row(&b, r));
+            b.fill(e);
+            filled.push((r, 0, e));
+        }
+        // A second entry in row 2 (a different line aliasing into it)
+        // takes way 1.
+        let a = addr_in_row(&b, 2);
+        let second = (1..1u64 << 24)
+            .map(|k| a + k * 64 * 32 * 1024)
+            .find(|&x| row_of(&b, x) == 2)
+            .map(entry)
+            .unwrap();
+        b.fill(second);
+        filled.push((2, 1, second));
+        filled.sort_by_key(|&(r, w, _)| (r, w));
+        let expected: Vec<BtbEntry> = filled.iter().map(|&(_, _, e)| e).collect();
+        let got: Vec<BtbEntry> = b.iter().copied().collect();
+        assert_eq!(got, expected);
+        assert_eq!(b.occupancy(), expected.len());
     }
 
     #[test]
