@@ -1,6 +1,7 @@
 //! The prediction service daemon: binds a TCP address, serves streams
 //! over a [`ShardPool`](zbp_serve::ShardPool), and prints the drained
-//! pool summary on shutdown (EOF on stdin, e.g. Ctrl-D).
+//! pool summary on shutdown (EOF on stdin, e.g. Ctrl-D): the number of
+//! sessions completed, then the newest of them, one line each.
 //!
 //! ```text
 //! zbp_serve [--addr HOST:PORT] [--shards N] [--queue-depth N]
@@ -58,9 +59,11 @@ fn main() {
     let summary = server.shutdown();
     println!(
         "drained: {} sessions completed, {} busy rejections",
-        summary.sessions.len(),
-        summary.busy_rejections
+        summary.completed, summary.busy_rejections
     );
+    if (summary.sessions.len() as u64) < summary.completed {
+        println!("newest {} sessions:", summary.sessions.len());
+    }
     for s in &summary.sessions {
         println!(
             "  stream {} [{}] shard {}: {} records, MPKI {:.3}",

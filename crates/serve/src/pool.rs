@@ -23,6 +23,17 @@
 //! z15 reset writes only the BTB1, PHT and the small tables, about
 //! 40 µs on a 2-vCPU x86-64 KVM guest.
 //!
+//! A worker wakes the server's multiplexer thread (when one registered
+//! itself) right after answering each feed or close, so a reply never
+//! waits out the mux's idle park. A pool used in process has no waker.
+//!
+//! Completed sessions are counted exactly, but only the newest 1024
+//! (by stream id) are kept for the [`PoolSummary`], so a
+//! long-running pool holds a bounded tail, not one report per session
+//! ever served. Telemetry, which only traced sessions carry, is kept
+//! whole until shutdown, so the summary's reduction is the same
+//! stream-id-ordered merge over every session.
+//!
 //! # Live migration and elasticity
 //!
 //! A warm delayed-mode session can be **migrated** between shards
@@ -47,9 +58,9 @@ use crate::session::{ReplayMode, Session, SessionImage, SessionReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::thread::{JoinHandle, Thread};
 use zbp_core::{PredictorConfig, ZPredictor};
 use zbp_model::BranchRecord;
 use zbp_telemetry::Snapshot;
@@ -164,10 +175,18 @@ pub struct CompletedSession {
     pub report: SessionReport,
 }
 
+/// Completed sessions a pool keeps for its [`PoolSummary`]: the ones
+/// with the highest stream ids. Older ones are counted, not kept.
+const RETAINED_SESSIONS: usize = 1024;
+
 /// What [`ShardPool::shutdown`] hands back after the graceful drain.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolSummary {
-    /// Every completed session, sorted by stream id.
+    /// Sessions completed over the pool's lifetime, every one counted
+    /// (closed, force-finished at a shrink or at shutdown).
+    pub completed: u64,
+    /// The newest completed sessions — the 1024 with the highest stream
+    /// ids, or all of them if fewer completed — sorted by stream id.
     pub sessions: Vec<CompletedSession>,
     /// All session telemetry reduced with [`Snapshot::merge_keyed`] by
     /// stream id — identical at any shard count for the same stream
@@ -229,6 +248,51 @@ struct Shard {
     worker: JoinHandle<()>,
 }
 
+/// Where shard workers record finished sessions. Workers hold the lock
+/// only to insert, never across a blocking call.
+#[derive(Default)]
+struct CompletionLog {
+    completed: u64,
+    /// The newest [`RETAINED_SESSIONS`] sessions by stream id.
+    recent: BTreeMap<StreamId, CompletedSession>,
+    /// Every session's telemetry, for the keyed merge at shutdown.
+    telemetry: BTreeMap<StreamId, Snapshot>,
+}
+
+impl CompletionLog {
+    fn record(&mut self, session: CompletedSession) {
+        self.completed += 1;
+        if let Some(t) = &session.report.telemetry {
+            self.telemetry.insert(session.id, t.clone());
+        }
+        self.recent.insert(session.id, session);
+        if self.recent.len() > RETAINED_SESSIONS {
+            self.recent.pop_first();
+        }
+    }
+}
+
+/// What every shard worker shares with the pool.
+#[derive(Clone, Default)]
+struct WorkerShared {
+    log: Arc<Mutex<CompletionLog>>,
+    /// The thread to unpark after each feed or close reply — the
+    /// server's multiplexer, once it registers itself.
+    waker: Arc<OnceLock<Thread>>,
+}
+
+impl WorkerShared {
+    fn complete(&self, session: CompletedSession) {
+        relock(self.log.lock()).record(session);
+    }
+
+    fn wake(&self) {
+        if let Some(t) = self.waker.get() {
+            t.unpark();
+        }
+    }
+}
+
 /// The sharded session pool. See the module docs for the execution
 /// model.
 pub struct ShardPool {
@@ -240,9 +304,7 @@ pub struct ShardPool {
     next_id: AtomicU64,
     busy: AtomicU64,
     migrations: AtomicU64,
-    completed_rx: Mutex<Receiver<CompletedSession>>,
-    /// Kept so workers can clone a sender; dropped at shutdown.
-    completed_tx: Mutex<Option<Sender<CompletedSession>>>,
+    shared: WorkerShared,
 }
 
 impl fmt::Debug for ShardPool {
@@ -281,15 +343,10 @@ impl ShardPool {
     /// Starts `cfg.shards` worker threads.
     pub fn new(cfg: PoolConfig) -> ShardPool {
         let shards = cfg.shards.max(1);
-        // zbp-analyze: allow(unbounded-channel): completion fan-in must
-        // never block a draining worker (shutdown joins workers before
-        // it drains this receiver, so a bounded send could deadlock);
-        // occupancy is bounded by the number of open sessions, which the
-        // bounded per-shard command queues already limit.
-        let (ctx, crx) = std::sync::mpsc::channel();
+        let shared = WorkerShared::default();
         let mut out = Vec::with_capacity(shards);
         for shard in 0..shards {
-            out.push(spawn_shard(shard, &cfg, ctx.clone()));
+            out.push(spawn_shard(shard, &cfg, shared.clone()));
         }
         ShardPool {
             cfg,
@@ -298,9 +355,15 @@ impl ShardPool {
             next_id: AtomicU64::new(0),
             busy: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
-            completed_rx: Mutex::new(crx),
-            completed_tx: Mutex::new(Some(ctx)),
+            shared,
         }
+    }
+
+    /// Registers `thread` to be unparked whenever a worker answers a
+    /// feed or close, or a killed shard abandons its queue. Only the
+    /// first registration takes effect.
+    pub(crate) fn set_waker(&self, thread: Thread) {
+        let _ = self.shared.waker.set(thread);
     }
 
     /// The pool configuration in force (`shards` is the *initial*
@@ -504,14 +567,8 @@ impl ShardPool {
             return Ok(0);
         }
         if new_shards > old {
-            let done = self
-                .completed_tx
-                .lock()
-                .expect("completed_tx")
-                .clone()
-                .ok_or(ServeError::ShuttingDown)?;
             for shard in old..new_shards {
-                shards.push(spawn_shard(shard, &self.cfg, done.clone()));
+                shards.push(spawn_shard(shard, &self.cfg, self.shared.clone()));
             }
             return Ok(0);
         }
@@ -562,12 +619,6 @@ impl ShardPool {
         if shard >= shards.len() {
             return Err(ServeError::NoSuchShard(shard));
         }
-        let done = self
-            .completed_tx
-            .lock()
-            .expect("completed_tx")
-            .clone()
-            .ok_or(ServeError::ShuttingDown)?;
         let mut routes = self.routes.lock().expect("routes");
         let resident: Vec<u64> =
             routes.iter().filter(|(_, s)| **s == shard).map(|(id, _)| *id).collect();
@@ -581,7 +632,7 @@ impl ShardPool {
                 Err(e) => return Err(e),
             }
         }
-        let fresh = spawn_shard(shard, &self.cfg, done);
+        let fresh = spawn_shard(shard, &self.cfg, self.shared.clone());
         let old = std::mem::replace(&mut shards[shard], fresh);
         drop(old.tx);
         let _ = old.worker.join();
@@ -608,16 +659,10 @@ impl ShardPool {
         if shard >= shards.len() {
             return Err(ServeError::NoSuchShard(shard));
         }
-        let done = self
-            .completed_tx
-            .lock()
-            .expect("completed_tx")
-            .clone()
-            .ok_or(ServeError::ShuttingDown)?;
         let (reply, rx) = sync_channel(1);
         shards[shard].tx.send(Cmd::Die { reply }).map_err(|_| ServeError::ShuttingDown)?;
         let dropped = rx.recv().map_err(|_| ServeError::ShuttingDown)?;
-        let fresh = spawn_shard(shard, &self.cfg, done);
+        let fresh = spawn_shard(shard, &self.cfg, self.shared.clone());
         let old = std::mem::replace(&mut shards[shard], fresh);
         drop(old.tx);
         let _ = old.worker.join();
@@ -631,7 +676,6 @@ impl ShardPool {
     /// reduced by stream id, so the result is identical at any shard
     /// count.
     pub fn shutdown(self) -> PoolSummary {
-        drop(self.completed_tx.lock().expect("completed_tx").take());
         let mut workers = Vec::new();
         for shard in self.shards.into_inner().expect("shards") {
             drop(shard.tx);
@@ -640,15 +684,11 @@ impl ShardPool {
         for w in workers {
             let _ = w.join();
         }
-        let rx = self.completed_rx.lock().expect("completed_rx");
-        let mut sessions: Vec<CompletedSession> = rx.try_iter().collect();
-        sessions.sort_by_key(|s| s.id);
-        let merged_telemetry = Snapshot::merge_keyed(
-            sessions.iter().filter_map(|s| s.report.telemetry.clone().map(|t| (s.id, t))),
-        );
+        let log = std::mem::take(&mut *relock(self.shared.log.lock()));
         PoolSummary {
-            sessions,
-            merged_telemetry,
+            completed: log.completed,
+            sessions: log.recent.into_values().collect(),
+            merged_telemetry: Snapshot::merge_keyed(log.telemetry),
             busy_rejections: self.busy.load(Ordering::Relaxed),
         }
     }
@@ -661,13 +701,13 @@ pub struct ShardPause {
     _resume: SyncSender<()>,
 }
 
-fn spawn_shard(shard: usize, cfg: &PoolConfig, done: Sender<CompletedSession>) -> Shard {
+fn spawn_shard(shard: usize, cfg: &PoolConfig, shared: WorkerShared) -> Shard {
     let (tx, rx) = sync_channel(cfg.queue_depth.max(1));
     let free_cap = cfg.free_list;
     let retry_ms = cfg.retry_after_ms;
     let worker = std::thread::Builder::new()
         .name(format!("zbp-shard-{shard}"))
-        .spawn(move || shard_worker(shard, rx, done, free_cap, retry_ms))
+        .spawn(move || shard_worker(shard, rx, &shared, free_cap, retry_ms))
         .expect("spawn shard worker");
     Shard { tx, worker }
 }
@@ -692,7 +732,7 @@ fn import_session(shard: &Shard, id: StreamId, image: Box<SessionImage>) -> Resu
 fn shard_worker(
     shard: usize,
     rx: Receiver<Cmd>,
-    done: Sender<CompletedSession>,
+    shared: &WorkerShared,
     free_cap: usize,
     retry_ms: u32,
 ) {
@@ -737,6 +777,7 @@ fn shard_worker(
                     None => Err(ServeError::UnknownStream(id.0)),
                 };
                 let _ = reply.send(res);
+                shared.wake();
             }
             Cmd::Close { id, tail_instrs, reply } => {
                 let res = match open.remove(&id.0) {
@@ -744,7 +785,7 @@ fn shard_worker(
                         let label = s.label().to_string();
                         let (report, pred) = s.finish_into(tail_instrs);
                         recycle(pred, &mut free, free_cap);
-                        let _ = done.send(CompletedSession {
+                        shared.complete(CompletedSession {
                             id,
                             label,
                             shard,
@@ -758,6 +799,7 @@ fn shard_worker(
                     None => Err(ServeError::UnknownStream(id.0)),
                 };
                 let _ = reply.send(res);
+                shared.wake();
             }
             Cmd::Pause { ack, resume } => {
                 let _ = ack.send(());
@@ -799,19 +841,22 @@ fn shard_worker(
             Cmd::Die { reply } => {
                 let _ = reply.send(open.len() as u64);
                 // Crash semantics: no reports, no recycling, queue
-                // abandoned (pending repliers see a disconnect).
+                // abandoned. Dropping the receiver drops the queued
+                // commands, so their repliers see a disconnect; wake
+                // the mux to collect it.
+                drop(rx);
+                shared.wake();
                 return;
             }
         }
     }
-    // Drain: the pool is shutting down; force-finish whatever is still
-    // open — BTreeMap iteration is id-ordered, so the summary is
-    // deterministic without an explicit sort.
+    // Drain: the pool is shutting down (or this shard is being retired);
+    // force-finish whatever is still open.
     for (id, s) in open {
         let label = s.label().to_string();
         let (report, pred) = s.finish_into(0);
         recycle(pred, &mut free, free_cap);
-        let _ = done.send(CompletedSession { id: StreamId(id), label, shard, report });
+        shared.complete(CompletedSession { id: StreamId(id), label, shard, report });
     }
 }
 
@@ -821,5 +866,49 @@ fn recycle(pred: Option<ZPredictor>, free: &mut Vec<ZPredictor>, cap: usize) {
             p.reset();
             free.push(p);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::TryRecvError;
+    use std::time::{Duration, Instant};
+    use zbp_trace::workloads;
+
+    /// Waits for `rx` the way the server's mux does once idle: parks
+    /// between checks. Without a worker's unpark, the first park lasts
+    /// until `deadline`.
+    fn park_until<T>(rx: &Receiver<T>, deadline: Instant) -> T {
+        loop {
+            match rx.try_recv() {
+                Ok(v) => return v,
+                Err(TryRecvError::Empty) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    assert!(!left.is_zero(), "the reply was only seen at the deadline");
+                    std::thread::park_timeout(left);
+                }
+                Err(TryRecvError::Disconnected) => panic!("the worker hung up"),
+            }
+        }
+    }
+
+    #[test]
+    fn workers_unpark_the_registered_waker_after_feed_and_close() {
+        let pool = ShardPool::new(PoolConfig { shards: 1, ..PoolConfig::default() });
+        pool.set_waker(std::thread::current());
+        let cfg = crate::proto::soak_config();
+        let trace = workloads::lspr_like(3, 2_000).dynamic_trace();
+        let opened = pool.open(trace.label(), &cfg, ReplayMode::default(), false).expect("open");
+
+        let start = Instant::now();
+        let deadline = start + Duration::from_secs(30);
+        let feed = pool.feed_async(opened.id, trace.as_slice().to_vec()).expect("feed");
+        assert_eq!(park_until(&feed, deadline), Ok(trace.branch_count()));
+        let close = pool.close_async(opened.id, trace.tail_instrs()).expect("close");
+        let report = park_until(&close, deadline).expect("report");
+        assert!(start.elapsed() < Duration::from_secs(10), "replies took {:?}", start.elapsed());
+        assert_eq!(report, Session::options(&cfg).run(&trace));
+        assert_eq!(pool.shutdown().completed, 1);
     }
 }

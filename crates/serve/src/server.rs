@@ -15,7 +15,24 @@
 //!    come back in the order requests were sent) into the write buffer;
 //! 4. flush write buffers as far as the sockets accept.
 //!
-//! A sweep with no progress sleeps briefly instead of spinning.
+//! The loop is event-driven where std allows it. Sockets are polled,
+//! but shard replies are not waited for on a timer: a worker unparks
+//! the mux right after answering a feed or close (and when a killed
+//! shard abandons its queue). A sweep that moved nothing yields and
+//! sweeps again while the last progress is under [`IDLE_SLEEP`] old, so
+//! a closed-loop client's next frame is picked up within microseconds;
+//! after that the mux parks for at most [`IDLE_SLEEP`], so an idle
+//! server still wakes every 100 µs and no more often.
+//!
+//! Memory per connection is bounded. A sweep stops reading once the
+//! read buffer holds more than one largest frame ([`MAX_FRAME`] plus
+//! its header). While a connection's unflushed replies exceed
+//! [`MAX_FRAME`] bytes, the mux neither reads nor decodes from it, so a
+//! client that pipelines requests without reading its replies is
+//! stalled by TCP flow control instead of growing the write buffer.
+//! Decoded frames are consumed by offset, and the read buffer is
+//! compacted once per sweep.
+//!
 //! Backpressure is surfaced, not absorbed: a full shard queue answers
 //! `Busy { retry_after_ms }` at enqueue time and the client decides
 //! when to retry — the same contract the paper's prediction queue
@@ -35,9 +52,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How long the multiplexer parks when a full sweep made no progress.
+/// The multiplexer's one timing constant: for this long after its last
+/// progress it yields between sweeps instead of parking, and this is
+/// the longest it parks once idle.
 const IDLE_SLEEP: Duration = Duration::from_micros(100);
 
 /// A running prediction service bound to a TCP address.
@@ -98,6 +117,7 @@ impl Server {
     /// summary.
     pub fn shutdown(self) -> PoolSummary {
         self.stop.store(true, Ordering::SeqCst);
+        self.mux.thread().unpark();
         let _ = self.mux.join();
         match Arc::try_unwrap(self.pool) {
             Ok(pool) => pool.shutdown(),
@@ -125,8 +145,10 @@ enum ReplySlot {
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
-    /// Unparsed inbound bytes (partial frames reassemble here).
+    /// Inbound bytes (partial frames reassemble here).
     rbuf: Vec<u8>,
+    /// Decoded prefix of `rbuf`, dropped once per sweep.
+    rpos: usize,
     /// Outbound bytes the socket has not accepted yet.
     wbuf: Vec<u8>,
     /// Consumed prefix of `wbuf`.
@@ -152,6 +174,7 @@ impl Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
+            rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
             // zbp-analyze: allow(unbounded-channel): see the field above.
@@ -168,11 +191,20 @@ impl Conn {
         self.wbuf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.wbuf.extend_from_slice(&payload);
     }
+
+    /// More than a frame's worth of replies is waiting for the client
+    /// to read: take no new input until it drains.
+    fn backpressured(&self) -> bool {
+        self.wbuf.len() - self.wpos > MAX_FRAME
+    }
 }
 
 fn mux_loop(listener: TcpListener, pool: &ShardPool, stop: &AtomicBool) {
+    pool.set_waker(std::thread::current());
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
+    // When the current run of sweeps without progress began.
+    let mut idle_since: Option<Instant> = None;
     while !stop.load(Ordering::SeqCst) {
         let mut progressed = false;
         // 1. Accept everything that is ready.
@@ -203,8 +235,17 @@ fn mux_loop(listener: TcpListener, pool: &ShardPool, stop: &AtomicBool) {
                 true
             }
         });
-        if !progressed {
-            std::thread::sleep(IDLE_SLEEP);
+        if progressed {
+            idle_since = None;
+            continue;
+        }
+        // zbp-analyze: allow(wall-clock): the clock only decides whether
+        // the mux yields or parks; no reply or statistic derives from it.
+        let idle = *idle_since.get_or_insert_with(Instant::now);
+        if idle.elapsed() < IDLE_SLEEP {
+            std::thread::yield_now();
+        } else {
+            std::thread::park_timeout(IDLE_SLEEP);
         }
     }
     // Shutdown: hang up on everyone; orphaned streams get a zero tail.
@@ -220,7 +261,7 @@ fn mux_loop(listener: TcpListener, pool: &ShardPool, stop: &AtomicBool) {
 fn sweep_conn(conn: &mut Conn, pool: &ShardPool, scratch: &mut [u8]) -> bool {
     let mut progressed = false;
     // Read whatever the socket has.
-    if !conn.closing && !conn.eof {
+    if !conn.closing && !conn.eof && !conn.backpressured() {
         loop {
             match conn.stream.read(scratch) {
                 Ok(0) => {
@@ -230,6 +271,10 @@ fn sweep_conn(conn: &mut Conn, pool: &ShardPool, scratch: &mut [u8]) -> bool {
                 Ok(n) => {
                     conn.rbuf.extend_from_slice(scratch.get(..n).unwrap_or(scratch));
                     progressed = true;
+                    // Enough for the largest frame: decode before reading on.
+                    if conn.rbuf.len() > 4 + MAX_FRAME {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -242,10 +287,11 @@ fn sweep_conn(conn: &mut Conn, pool: &ShardPool, scratch: &mut [u8]) -> bool {
     }
     // Decode complete frames and enqueue their work.
     loop {
-        if conn.closing {
+        if conn.closing || conn.backpressured() {
             break;
         }
-        let Some(header) = conn.rbuf.first_chunk::<4>() else { break };
+        let unread = conn.rbuf.get(conn.rpos..).unwrap_or_default();
+        let Some(header) = unread.first_chunk::<4>() else { break };
         let len = u32::from_le_bytes(*header) as usize;
         if len > MAX_FRAME {
             let e = ProtoError::FrameTooLarge(len);
@@ -254,9 +300,9 @@ fn sweep_conn(conn: &mut Conn, pool: &ShardPool, scratch: &mut [u8]) -> bool {
             break;
         }
         // An incomplete body also lands here and waits for more bytes.
-        let Some(body) = conn.rbuf.get(4..4 + len) else { break };
+        let Some(body) = unread.get(4..4 + len) else { break };
         let frame = Frame::decode(body);
-        conn.rbuf.drain(..4 + len);
+        conn.rpos += 4 + len;
         progressed = true;
         match frame {
             Ok(f) => handle_frame(conn, f, pool),
@@ -266,6 +312,8 @@ fn sweep_conn(conn: &mut Conn, pool: &ShardPool, scratch: &mut [u8]) -> bool {
             }
         }
     }
+    conn.rbuf.drain(..conn.rpos);
+    conn.rpos = 0;
     // Resolve owed replies in request order. Each slot is popped, and a
     // not-ready slot is pushed straight back — ownership moves through
     // the match, so there is no "front changed under us" case at all.

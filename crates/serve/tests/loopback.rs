@@ -1,12 +1,14 @@
 //! TCP loopback integration tests: the full open → feed → close round
-//! trip, frame-limit enforcement, and deterministic `Busy`
-//! backpressure.
+//! trip, frame-limit enforcement, deterministic `Busy` backpressure, and
+//! the per-connection reply-buffer bound.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 use zbp_core::GenerationPreset;
 use zbp_serve::{
     Client, Frame, PoolConfig, ReplayMode, Server, Session, StreamId, WireMode, MAX_FRAME,
+    PROTO_VERSION,
 };
 use zbp_trace::workloads;
 
@@ -205,4 +207,37 @@ fn dropped_connection_does_not_leak_sessions() {
     assert_eq!(summary.sessions.len(), 1, "orphaned stream was finalized");
     assert_eq!(summary.sessions[0].id, StreamId(0));
     assert_eq!(summary.sessions[0].report.records, trace.branch_count());
+}
+
+#[test]
+fn a_client_that_never_reads_its_replies_is_stalled() {
+    let server = test_server(1, 4);
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_write_timeout(Some(Duration::from_millis(500))).expect("write timeout");
+    let hello = Frame::Hello { version: PROTO_VERSION }.encode();
+    let mut frame = (hello.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&hello);
+    let chunk = frame.repeat(64 * 1024 / frame.len());
+    // Far more than the server's reply bound plus every loopback socket
+    // buffer: a server that kept reading would take all of it.
+    let limit = 128 << 20;
+    let (mut sent, mut at) = (0usize, 0usize);
+    let stalled = loop {
+        match raw.write(&chunk[at..]) {
+            Ok(n) => {
+                sent += n;
+                at = (at + n) % chunk.len();
+                if sent >= limit {
+                    break false;
+                }
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                break true
+            }
+            Err(e) => panic!("write failed after {sent} bytes: {e}"),
+        }
+    };
+    assert!(stalled, "the server took {sent} bytes of requests whose replies were never read");
+    drop(raw);
+    server.shutdown();
 }

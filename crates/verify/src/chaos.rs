@@ -257,9 +257,9 @@ pub fn run_campaign(cfg: &ChaosConfig) -> ChaosReport {
     // in the drained summary alongside the closed ones).
     if cfg.fault == ChaosFault::OrphanConnection {
         assert!(
-            summary.sessions.len() >= cfg.streams,
+            summary.completed >= cfg.streams as u64,
             "orphan cleanup lost sessions: {} < {}",
-            summary.sessions.len(),
+            summary.completed,
             cfg.streams
         );
     }
