@@ -328,7 +328,9 @@ impl ZPredictor {
     /// writes the BTB1, PHT and small tables but none of the BTB2's
     /// 128K empty slots, and the drop frees only the pages the last
     /// stream touched. On a 2-vCPU x86-64 KVM guest a z15 reset after
-    /// a short stream takes about 40 µs.
+    /// a short stream takes about 40 µs. A serving shard resets only
+    /// after it has answered the close, so the session does not wait on
+    /// it; the next command on that shard may.
     pub fn reset(&mut self) {
         *self = ZPredictor::new(self.cfg.clone());
     }

@@ -16,16 +16,24 @@
 //! matter how many streams interleave on a shard — the property the
 //! pool tests pin down.
 //!
-//! Recycling runs on the shard worker at close, before the close is
-//! answered, so its cost lands in every session's latency. It is one
-//! `ZPredictor::new` over the predictor's configuration: the BTB2 is
-//! built with no row storage (pages are allocated on first fill), so a
-//! z15 reset writes only the BTB1, PHT and the small tables, about
-//! 40 µs on a 2-vCPU x86-64 KVM guest.
+//! A worker answers a close first and bookkeeps after: it sends the
+//! report and wakes the mux, and only then records the completed
+//! session and recycles the predictor. A migration export likewise
+//! sends the image before recycling the emptied predictor. Recycling is
+//! one `ZPredictor::new` over the predictor's configuration, about
+//! 40 µs for a z15 on a 2-vCPU x86-64 KVM guest, so it runs off the
+//! session's blocking path. It still runs on the worker and finishes
+//! before the worker takes its next command, so the next open on the
+//! shard always gets a power-on predictor; a client that turns around
+//! faster than the reset waits out the rest of it.
 //!
 //! A worker wakes the server's multiplexer thread (when one registered
 //! itself) right after answering each feed or close, so a reply never
 //! waits out the mux's idle park. A pool used in process has no waker.
+//! Between commands a worker polls its queue, yielding, for up to
+//! [`IDLE_SLEEP`] after its last command, then blocks: a closed-loop
+//! client's next command is taken without a thread wake-up, and an idle
+//! worker uses no CPU.
 //!
 //! Completed sessions are counted exactly, but only the newest 1024
 //! (by stream id) are kept for the [`PoolSummary`], so a
@@ -58,9 +66,10 @@ use crate::session::{ReplayMode, Session, SessionImage, SessionReport};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 use zbp_core::{PredictorConfig, ZPredictor};
 use zbp_model::BranchRecord;
 use zbp_telemetry::Snapshot;
@@ -174,6 +183,12 @@ pub struct CompletedSession {
     /// The session's final report.
     pub report: SessionReport,
 }
+
+/// The serving layer's one timing constant. The server's mux and every
+/// shard worker spin (`yield_now`) for this long after their last
+/// progress before they wait; the mux then parks for at most this long,
+/// and a worker blocks on its queue.
+pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(100);
 
 /// Completed sessions a pool keeps for its [`PoolSummary`]: the ones
 /// with the highest stream ids. Older ones are counted, not kept.
@@ -742,7 +757,7 @@ fn shard_worker(
     // told Busy; by the time the client retries, the routes table
     // points at the new home. Bounded by migrations off this worker.
     let mut moved: BTreeSet<u64> = BTreeSet::new();
-    while let Ok(cmd) = rx.recv() {
+    while let Some(cmd) = next_cmd(&rx) {
         match cmd {
             Cmd::Open { id, label, cfg, mode, traced, reply } => {
                 let session = match mode {
@@ -771,35 +786,25 @@ fn shard_worker(
                         s.feed(&batch);
                         Ok(s.records_fed())
                     }
-                    None if moved.contains(&id.0) => {
-                        Err(ServeError::Busy { retry_after_ms: retry_ms })
-                    }
-                    None => Err(ServeError::UnknownStream(id.0)),
+                    None => Err(missing(&moved, id, retry_ms)),
                 };
                 let _ = reply.send(res);
                 shared.wake();
             }
             Cmd::Close { id, tail_instrs, reply } => {
-                let res = match open.remove(&id.0) {
-                    Some(s) => {
-                        let label = s.label().to_string();
-                        let (report, pred) = s.finish_into(tail_instrs);
-                        recycle(pred, &mut free, free_cap);
-                        shared.complete(CompletedSession {
-                            id,
-                            label,
-                            shard,
-                            report: report.clone(),
-                        });
-                        Ok(report)
-                    }
-                    None if moved.contains(&id.0) => {
-                        Err(ServeError::Busy { retry_after_ms: retry_ms })
-                    }
-                    None => Err(ServeError::UnknownStream(id.0)),
+                let Some(s) = open.remove(&id.0) else {
+                    let _ = reply.send(Err(missing(&moved, id, retry_ms)));
+                    shared.wake();
+                    continue;
                 };
-                let _ = reply.send(res);
+                let label = s.label().to_string();
+                let (report, pred) = s.finish_into(tail_instrs);
+                let _ = reply.send(Ok(report.clone()));
                 shared.wake();
+                // The client has its report: bookkeeping and the reset
+                // run off its path, before the next command.
+                shared.complete(CompletedSession { id, label, shard, report });
+                recycle(pred, &mut free, free_cap);
             }
             Cmd::Pause { ack, resume } => {
                 let _ = ack.send(());
@@ -808,25 +813,23 @@ fn shard_worker(
                 let _ = resume.recv();
             }
             Cmd::Export { id, reply } => {
-                let res = match open.remove(&id.0) {
-                    Some(s) => match s.snapshot() {
-                        Some(image) => {
-                            moved.insert(id.0);
-                            // The predictor inside `s` was imaged, not
-                            // consumed — recycle it for the next open.
-                            let (_, pred) = s.finish_into(0);
-                            recycle(pred, &mut free, free_cap);
-                            Ok(Box::new(image))
-                        }
-                        None => {
-                            // Pinned session: put it back untouched.
-                            open.insert(id.0, s);
-                            Err(ServeError::NotMigratable(id.0))
-                        }
-                    },
-                    None => Err(ServeError::UnknownStream(id.0)),
+                let Some(s) = open.remove(&id.0) else {
+                    let _ = reply.send(Err(ServeError::UnknownStream(id.0)));
+                    continue;
                 };
-                let _ = reply.send(res);
+                let Some(image) = s.snapshot() else {
+                    // Pinned session: put it back untouched.
+                    open.insert(id.0, s);
+                    let _ = reply.send(Err(ServeError::NotMigratable(id.0)));
+                    continue;
+                };
+                moved.insert(id.0);
+                let _ = reply.send(Ok(Box::new(image)));
+                // The predictor inside `s` was imaged, not consumed —
+                // recycle it for the next open, after the image is on
+                // its way so the move's Busy window stays short.
+                let (_, pred) = s.finish_into(0);
+                recycle(pred, &mut free, free_cap);
             }
             Cmd::Import { id, image, reply } => {
                 let recycled = free
@@ -860,6 +863,37 @@ fn shard_worker(
     }
 }
 
+/// The worker's next command, or `None` once the queue is closed. It
+/// polls, yielding in between, while the worker has been idle for less
+/// than [`IDLE_SLEEP`], and then blocks.
+fn next_cmd(rx: &Receiver<Cmd>) -> Option<Cmd> {
+    let mut idle_since: Option<Instant> = None;
+    loop {
+        match rx.try_recv() {
+            Ok(cmd) => return Some(cmd),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => {}
+        }
+        // zbp-analyze: allow(wall-clock): the clock only decides whether
+        // the worker yields or blocks; no reply or statistic derives from it.
+        let idle = *idle_since.get_or_insert_with(Instant::now);
+        if idle.elapsed() >= IDLE_SLEEP {
+            return rx.recv().ok();
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// The answer to a command naming a stream this worker does not hold:
+/// `Busy` while the stream is moving to another shard, else unknown.
+fn missing(moved: &BTreeSet<u64>, id: StreamId, retry_ms: u32) -> ServeError {
+    if moved.contains(&id.0) {
+        ServeError::Busy { retry_after_ms: retry_ms }
+    } else {
+        ServeError::UnknownStream(id.0)
+    }
+}
+
 fn recycle(pred: Option<ZPredictor>, free: &mut Vec<ZPredictor>, cap: usize) {
     if let Some(mut p) = pred {
         if free.len() < cap {
@@ -872,8 +906,6 @@ fn recycle(pred: Option<ZPredictor>, free: &mut Vec<ZPredictor>, cap: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::TryRecvError;
-    use std::time::{Duration, Instant};
     use zbp_trace::workloads;
 
     /// Waits for `rx` the way the server's mux does once idle: parks
@@ -910,5 +942,27 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(10), "replies took {:?}", start.elapsed());
         assert_eq!(report, Session::options(&cfg).run(&trace));
         assert_eq!(pool.shutdown().completed, 1);
+    }
+
+    #[test]
+    fn a_close_answered_before_its_reset_leaves_the_next_open_a_power_on_predictor() {
+        const SESSIONS: u64 = 50;
+        // One shard and one free slot: every open after the first takes
+        // the predictor the previous close is still recycling.
+        let pool = ShardPool::new(PoolConfig { shards: 1, free_list: 1, ..PoolConfig::default() });
+        let cfg = crate::proto::soak_config();
+        let traces: Vec<_> =
+            (0..5).map(|seed| workloads::lspr_like(seed, 300).dynamic_trace()).collect();
+        let want: Vec<_> = traces.iter().map(|t| Session::options(&cfg).run(t)).collect();
+        for i in 0..SESSIONS {
+            let k = i as usize % traces.len();
+            let trace = &traces[k];
+            let opened =
+                pool.open(trace.label(), &cfg, ReplayMode::default(), false).expect("open");
+            pool.feed(opened.id, trace.as_slice().to_vec()).expect("feed");
+            let report = pool.close(opened.id, trace.tail_instrs()).expect("close");
+            assert_eq!(report, want[k], "session {i}");
+        }
+        assert_eq!(pool.shutdown().completed, SESSIONS);
     }
 }

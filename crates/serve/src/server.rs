@@ -22,7 +22,10 @@
 //! sweeps again while the last progress is under [`IDLE_SLEEP`] old, so
 //! a closed-loop client's next frame is picked up within microseconds;
 //! after that the mux parks for at most [`IDLE_SLEEP`], so an idle
-//! server still wakes every 100 µs and no more often.
+//! server still wakes every 100 µs and no more often. [`IDLE_SLEEP`] is
+//! the serving layer's one timing constant, shared with the shard
+//! workers, which spin for the same window before blocking on their
+//! queues.
 //!
 //! Memory per connection is bounded. A sweep stops reading once the
 //! read buffer holds more than one largest frame ([`MAX_FRAME`] plus
@@ -42,7 +45,7 @@
 //! validated here; version-0 clients that open without a handshake are
 //! still served.
 
-use crate::pool::{PoolConfig, PoolSummary, ServeError, ShardPool, StreamId};
+use crate::pool::{PoolConfig, PoolSummary, ServeError, ShardPool, StreamId, IDLE_SLEEP};
 use crate::proto::{close_ok, Frame, ProtoError, MAX_FRAME, PROTO_VERSION};
 use crate::session::SessionReport;
 use std::collections::{BTreeSet, VecDeque};
@@ -52,12 +55,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// The multiplexer's one timing constant: for this long after its last
-/// progress it yields between sweeps instead of parking, and this is
-/// the longest it parks once idle.
-const IDLE_SLEEP: Duration = Duration::from_micros(100);
+use std::time::Instant;
 
 /// A running prediction service bound to a TCP address.
 pub struct Server {
