@@ -78,6 +78,19 @@ fn pack_key(tag: u32, offset_hw: u8) -> u64 {
     VALID | (u64::from(offset_hw) << 32) | u64::from(tag)
 }
 
+/// Where a branch's entry lives, if anywhere: the base slot of its row
+/// and its packed match word. Both are pure functions of the branch
+/// address and the geometry, so a key derived when the branch is
+/// predicted addresses the same row and match word when it completes.
+/// It names no way: a write through the key rescans the row, exactly as
+/// a write by address would. A key addresses only the table (or an
+/// image of it) that derived it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BtbKey {
+    base: usize,
+    key: u64,
+}
+
 /// The BTB1 structure (struct-of-arrays, see the module docs).
 #[derive(Debug, Clone)]
 pub struct Btb1 {
@@ -207,22 +220,36 @@ impl Btb1 {
         }
     }
 
-    /// Looks up a single branch by exact address (tag + offset match).
-    /// Touches LRU on hit. Returns the way and a copy of the entry.
-    pub fn lookup(&mut self, addr: InstrAddr) -> Option<(usize, BtbEntry)> {
+    /// The key of `addr`'s entry, derived through the line memo.
+    fn key_of(&mut self, addr: InstrAddr) -> BtbKey {
         let line = self.line_of(addr);
         let off = ((addr.raw() - line) / 2) as u8;
         let (row, tag) = self.row_and_tag(line);
-        let want = pack_key(tag, off);
-        let base = row * self.ways;
-        for w in 0..self.ways {
-            if self.keys[base + w] == want {
-                let hit = self.entries[base + w].expect("valid key has payload");
-                lru_touch(&mut self.lru[base..base + self.ways], w);
-                return Some((w, hit));
-            }
-        }
-        None
+        BtbKey { base: row * self.ways, key: pack_key(tag, off) }
+    }
+
+    /// The first way of `k`'s row holding `k`'s match word.
+    fn find(&self, k: BtbKey) -> Option<usize> {
+        (0..self.ways).find(|&w| self.keys[k.base + w] == k.key)
+    }
+
+    /// Looks up a single branch by exact address (tag + offset match).
+    /// Touches LRU on hit. Returns the way and a copy of the entry.
+    pub fn lookup(&mut self, addr: InstrAddr) -> Option<(usize, BtbEntry)> {
+        self.lookup_keyed(addr).1
+    }
+
+    /// [`lookup`](Self::lookup) that also returns the key it derived, so
+    /// the caller can write the entry back later through
+    /// [`update_keyed`](Self::update_keyed) without hashing again. The
+    /// key is returned on a miss too.
+    pub fn lookup_keyed(&mut self, addr: InstrAddr) -> (BtbKey, Option<(usize, BtbEntry)>) {
+        let k = self.key_of(addr);
+        let hit = self.find(k).map(|w| {
+            lru_touch(&mut self.lru[k.base..k.base + self.ways], w);
+            (w, self.entries[k.base + w].expect("valid key has payload"))
+        });
+        (k, hit)
     }
 
     /// Looks up without touching LRU (the read-analyze-write filter
@@ -231,11 +258,12 @@ impl Btb1 {
         let line = self.line_of(addr);
         let off = ((addr.raw() - line) / 2) as u8;
         let (row, tag) = self.row_and_tag_cold(line);
-        let want = pack_key(tag, off);
-        let base = row * self.ways;
-        (0..self.ways)
-            .find(|&w| self.keys[base + w] == want)
-            .map(|w| (w, self.entries[base + w].as_ref().expect("valid key has payload")))
+        self.probe_keyed(BtbKey { base: row * self.ways, key: pack_key(tag, off) })
+    }
+
+    /// [`probe`](Self::probe) by a key from [`lookup_keyed`](Self::lookup_keyed).
+    pub fn probe_keyed(&self, k: BtbKey) -> Option<(usize, &BtbEntry)> {
+        self.find(k).map(|w| (w, self.entries[k.base + w].as_ref().expect("valid key has payload")))
     }
 
     /// Installs an entry, performing the read-before-write duplicate
@@ -270,36 +298,28 @@ impl Btb1 {
     /// whether an entry was found. Does not touch LRU (updates flow
     /// through the write port).
     pub fn update<F: FnOnce(&mut BtbEntry)>(&mut self, addr: InstrAddr, f: F) -> bool {
-        let line = self.line_of(addr);
-        let off = ((addr.raw() - line) / 2) as u8;
-        let (row, tag) = self.row_and_tag(line);
-        let want = pack_key(tag, off);
-        let base = row * self.ways;
-        for w in 0..self.ways {
-            if self.keys[base + w] == want {
-                let e = self.entries[base + w].as_mut().expect("valid key has payload");
-                f(e);
-                return true;
-            }
-        }
-        false
+        let k = self.key_of(addr);
+        self.update_keyed(k, f)
+    }
+
+    /// [`update`](Self::update) by a key from
+    /// [`lookup_keyed`](Self::lookup_keyed): rescans the key's row for
+    /// its match word, without deriving the row or tag again. The
+    /// result equals `update` on the address the key was derived from,
+    /// whatever was installed, evicted or duplicated in between.
+    pub fn update_keyed<F: FnOnce(&mut BtbEntry)>(&mut self, k: BtbKey, f: F) -> bool {
+        let Some(w) = self.find(k) else { return false };
+        f(self.entries[k.base + w].as_mut().expect("valid key has payload"));
+        true
     }
 
     /// Removes the entry for `addr` (bad-branch-prediction removal,
     /// paper §IV). Returns the removed entry.
     pub fn remove(&mut self, addr: InstrAddr) -> Option<BtbEntry> {
-        let line = self.line_of(addr);
-        let off = ((addr.raw() - line) / 2) as u8;
-        let (row, tag) = self.row_and_tag(line);
-        let want = pack_key(tag, off);
-        let base = row * self.ways;
-        for w in 0..self.ways {
-            if self.keys[base + w] == want {
-                self.keys[base + w] = 0;
-                return self.entries[base + w].take();
-            }
-        }
-        None
+        let k = self.key_of(addr);
+        let w = self.find(k)?;
+        self.keys[k.base + w] = 0;
+        self.entries[k.base + w].take()
     }
 
     /// Returns a copy of the LRU-most (next to be evicted) entry of the
@@ -362,12 +382,9 @@ impl Btb1 {
     /// fires; unreachable from normal operation.
     #[cfg(feature = "verify")]
     pub fn force_duplicate(&mut self, addr: InstrAddr) -> bool {
-        let line = self.line_of(addr);
-        let off = ((addr.raw() - line) / 2) as u8;
-        let (row, tag) = self.row_and_tag(line);
-        let want = pack_key(tag, off);
-        let base = row * self.ways;
-        let Some(src_way) = (0..self.ways).find(|&w| self.keys[base + w] == want) else {
+        let k = self.key_of(addr);
+        let (base, want) = (k.base, k.key);
+        let Some(src_way) = self.find(k) else {
             return false;
         };
         let src = self.entries[base + src_way].expect("valid key has payload");

@@ -20,7 +20,8 @@
 //!
 //! let cfg = z15_config();
 //! let mut cp = Cpred::new(cfg.cpred.as_ref().unwrap());
-//! let stream = InstrAddr::new(0x4000);
+//! // The stream's slot is derived once, when the stream is entered.
+//! let stream = cp.slot(InstrAddr::new(0x4000));
 //! assert!(cp.lookup(stream).is_none(), "untrained stream has no column hint");
 //! // The stream's exit behaviour is learned when it ends: 3 searches to
 //! // the taken branch, which lived in BTB1 way 5.
@@ -93,6 +94,16 @@ pub struct CpredPrediction {
     pub power: PowerMask,
 }
 
+/// A stream's entry position: the direct-mapped index and the tag its
+/// start address hashes to. A pure function of the address and the
+/// table geometry, so it is derived once when the stream is entered and
+/// reused by the lookup and both trainings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CpredSlot {
+    index: usize,
+    tag: u32,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     tag: u32,
@@ -143,16 +154,16 @@ impl Cpred {
         self.with_skoot
     }
 
-    fn slot(&self, stream_start: InstrAddr) -> (usize, u32) {
+    /// The slot of the stream starting at `stream_start`.
+    pub fn slot(&self, stream_start: InstrAddr) -> CpredSlot {
         let key = stream_start.raw() >> 1;
-        (index_of(key, self.entries.len()), tag_of(key, self.tag_bits))
+        CpredSlot { index: index_of(key, self.entries.len()), tag: tag_of(key, self.tag_bits) }
     }
 
     /// Looks up the prediction for a stream being entered.
-    pub fn lookup(&mut self, stream_start: InstrAddr) -> Option<CpredPrediction> {
+    pub fn lookup(&mut self, slot: CpredSlot) -> Option<CpredPrediction> {
         self.stats.lookups += 1;
-        let (idx, tag) = self.slot(stream_start);
-        let hit = self.entries[idx].filter(|e| e.tag == tag).map(|e| e.pred);
+        let hit = self.entries[slot.index].filter(|e| e.tag == slot.tag).map(|e| e.pred);
         if hit.is_some() {
             self.stats.hits += 1;
             if let Some(p) = &hit {
@@ -166,9 +177,8 @@ impl Cpred {
     /// took, which way held the leaving branch, where the next stream
     /// begins (already SKOOT-adjusted by the caller when enabled) and
     /// what the *target* stream needs powered.
-    pub fn train(&mut self, stream_start: InstrAddr, pred: CpredPrediction) {
-        let (idx, tag) = self.slot(stream_start);
-        self.entries[idx] = Some(Entry { tag, pred });
+    pub fn train(&mut self, slot: CpredSlot, pred: CpredPrediction) {
+        self.entries[slot.index] = Some(Entry { tag: slot.tag, pred });
         self.stats.trains += 1;
     }
 
@@ -178,17 +188,17 @@ impl Cpred {
     /// separately via [`Self::train_power`].
     pub fn train_exit(
         &mut self,
-        stream_start: InstrAddr,
+        slot: CpredSlot,
         searches_to_taken: u8,
         way: u8,
         redirect: InstrAddr,
     ) {
-        let (idx, tag) = self.slot(stream_start);
-        let power = self.entries[idx]
+        let CpredSlot { index, tag } = slot;
+        let power = self.entries[index]
             .filter(|e| e.tag == tag)
             .map(|e| e.pred.power)
             .unwrap_or(PowerMask::ALL_ON);
-        self.entries[idx] =
+        self.entries[index] =
             Some(Entry { tag, pred: CpredPrediction { searches_to_taken, way, redirect, power } });
         self.stats.trains += 1;
     }
@@ -196,10 +206,9 @@ impl Cpred {
     /// Updates only the power prediction of an existing entry: once a
     /// target stream's actual needs are known, the predecessor stream's
     /// entry learns them.
-    pub fn train_power(&mut self, stream_start: InstrAddr, power: PowerMask) {
-        let (idx, tag) = self.slot(stream_start);
-        if let Some(e) = self.entries[idx].as_mut() {
-            if e.tag == tag {
+    pub fn train_power(&mut self, slot: CpredSlot, power: PowerMask) {
+        if let Some(e) = self.entries[slot.index].as_mut() {
+            if e.tag == slot.tag {
                 e.pred.power = power;
             }
         }
@@ -248,7 +257,7 @@ mod tests {
     #[test]
     fn miss_then_train_then_hit() {
         let mut c = cpred();
-        let stream = InstrAddr::new(0x4000);
+        let stream = c.slot(InstrAddr::new(0x4000));
         assert_eq!(c.lookup(stream), None);
         c.train(stream, pred(0x8000));
         let hit = c.lookup(stream).expect("hit");
@@ -263,7 +272,7 @@ mod tests {
     #[test]
     fn retrain_updates_in_place() {
         let mut c = cpred();
-        let stream = InstrAddr::new(0x4000);
+        let stream = c.slot(InstrAddr::new(0x4000));
         c.train(stream, pred(0x8000));
         c.train(stream, pred(0x9000));
         assert_eq!(c.lookup(stream).unwrap().redirect, InstrAddr::new(0x9000));
@@ -273,10 +282,11 @@ mod tests {
     #[test]
     fn different_streams_coexist() {
         let mut c = cpred();
-        c.train(InstrAddr::new(0x4000), pred(0x8000));
-        c.train(InstrAddr::new(0x5000), pred(0x9000));
-        assert_eq!(c.lookup(InstrAddr::new(0x4000)).unwrap().redirect, InstrAddr::new(0x8000));
-        assert_eq!(c.lookup(InstrAddr::new(0x5000)).unwrap().redirect, InstrAddr::new(0x9000));
+        let (a, b) = (c.slot(InstrAddr::new(0x4000)), c.slot(InstrAddr::new(0x5000)));
+        c.train(a, pred(0x8000));
+        c.train(b, pred(0x9000));
+        assert_eq!(c.lookup(a).unwrap().redirect, InstrAddr::new(0x8000));
+        assert_eq!(c.lookup(b).unwrap().redirect, InstrAddr::new(0x9000));
     }
 
     #[test]
@@ -295,7 +305,7 @@ mod tests {
     #[test]
     fn gating_statistics_accrue_on_hits() {
         let mut c = cpred();
-        let stream = InstrAddr::new(0x4000);
+        let stream = c.slot(InstrAddr::new(0x4000));
         let mut p = pred(0x8000);
         p.power = PowerMask::ALL_OFF;
         c.train(stream, p);

@@ -57,6 +57,37 @@ pub struct PerceptronStats {
     pub virtualizations: u64,
 }
 
+/// The input weight `i` (of `n`, on virtualized candidate `sel`) sees:
+/// +1 when its GPV bit is set, −1 when clear, 0 when the bit lies past
+/// the `gpv_bits` of history. Computed without branching on the bit,
+/// which is random per branch. A position past 63 is also past the
+/// history (`gpv_bits` ≤ 64), so the wrapped shift's bit is zeroed.
+fn input(i: usize, sel: u8, n: usize, gpv: u64, gpv_bits: usize) -> i32 {
+    let pos = i + usize::from(sel) * n;
+    let sign = ((gpv.wrapping_shr(pos as u32) & 1) as i32) * 2 - 1;
+    sign * i32::from(pos < gpv_bits)
+}
+
+/// The weight sum of one entry's stripe under the raw GPV bits: each
+/// weight adds itself when its GPV bit is set, subtracts itself when
+/// clear, and nothing past the history.
+fn dot(ws: &[i32], sels: &[u8], gpv: u64, gpv_bits: usize) -> i32 {
+    let n = ws.len();
+    ws.iter().zip(sels).enumerate().map(|(i, (&w, &sel))| w * input(i, sel, n, gpv, gpv_bits)).sum()
+}
+
+/// The training step: every weight moves one step toward agreeing with
+/// `resolved` (+1 when its GPV bit matches the outcome, −1 otherwise,
+/// 0 past the history), clamped to ±`wmax`. Weights never leave that
+/// range, so the clamp leaves an unmoved weight unchanged.
+fn adjust(ws: &mut [i32], sels: &[u8], gpv: u64, gpv_bits: usize, resolved: Direction, wmax: i32) {
+    let n = ws.len();
+    let toward = if resolved.is_taken() { 1 } else { -1 };
+    for (i, (w, &sel)) in ws.iter_mut().zip(sels).enumerate() {
+        *w = (*w + toward * input(i, sel, n, gpv, gpv_bits)).clamp(-wmax, wmax);
+    }
+}
+
 /// Per-entry control state (everything except the weight/selector
 /// arrays, which live flat in the table — see [`Perceptron`]).
 #[derive(Debug, Clone, Copy)]
@@ -122,26 +153,13 @@ impl Perceptron {
         self.stats.lookups += 1;
         let row = self.row_of(addr);
         let tag = self.tag_for(addr);
-        let gpv_bits = 2 * gpv.depth();
         let threshold = self.cfg.usefulness_threshold;
-        let weights_n = self.cfg.weights;
         let base = row * self.cfg.ways;
         let (way, e) = (0..self.cfg.ways).find_map(|w| {
             self.entries[base + w].as_ref().filter(|e| e.tag == tag).map(|e| (w, *e))
         })?;
         let (ws, sels) = self.stripe(base + way);
-        let mut sum = 0i32;
-        for i in 0..weights_n {
-            let pos = i + usize::from(sels[i]) * weights_n;
-            if pos >= gpv_bits {
-                continue;
-            }
-            if gpv.bit(pos) {
-                sum += ws[i];
-            } else {
-                sum -= ws[i];
-            }
-        }
+        let sum = dot(ws, sels, gpv.raw(), 2 * gpv.depth());
         self.stats.hits += 1;
         Some(PerceptronHit {
             row,
@@ -176,36 +194,12 @@ impl Perceptron {
         // θ-gated training: adjust only when the entry was wrong or
         // under-confident, so uncorrelated weights stay near zero
         // instead of random-walking into saturation.
-        let mut sum = 0i32;
-        for i in 0..weights_n {
-            let pos = i + usize::from(sels[i]) * weights_n;
-            if pos >= gpv_bits {
-                continue;
-            }
-            if gpv.bit(pos) {
-                sum += ws[i];
-            } else {
-                sum -= ws[i];
-            }
-        }
+        let sum = dot(ws, sels, gpv.raw(), gpv_bits);
         let predicted_taken = sum >= 0;
-        let adjust = predicted_taken != resolved.is_taken() || sum.abs() <= theta;
-        if !adjust {
+        if predicted_taken != resolved.is_taken() || sum.abs() <= theta {
+            adjust(ws, sels, gpv.raw(), gpv_bits, resolved, wmax);
+        } else {
             self.stats.theta_skips += 1;
-        }
-        if adjust {
-            for i in 0..weights_n {
-                let pos = i + usize::from(sels[i]) * weights_n;
-                if pos >= gpv_bits {
-                    continue;
-                }
-                let bit = gpv.bit(pos);
-                let delta = match (resolved, bit) {
-                    (Direction::Taken, true) | (Direction::NotTaken, false) => 1,
-                    _ => -1,
-                };
-                ws[i] = (ws[i] + delta).clamp(-wmax, wmax);
-            }
         }
         e.since_sweep += 1;
         if sweep_period > 0 && e.since_sweep >= sweep_period {
@@ -343,6 +337,7 @@ impl Perceptron {
 mod tests {
     use super::*;
     use crate::config::z15_config;
+    use proptest::prelude::*;
 
     fn perc() -> Perceptron {
         Perceptron::new(z15_config().direction.perceptron.as_ref().unwrap())
@@ -574,5 +569,64 @@ mod tests {
             p.train(h.row, h.way, &g, dir);
         }
         assert!(p.stats.virtualizations > 0, "dead weights were reassigned");
+    }
+
+    /// The branchy loops [`dot`] and [`adjust`] replaced, kept as the
+    /// reference they must equal.
+    fn branchy_dot(ws: &[i32], sels: &[u8], gpv: &Gpv) -> i32 {
+        let n = ws.len();
+        let mut sum = 0;
+        for i in 0..n {
+            let pos = i + usize::from(sels[i]) * n;
+            if pos >= 2 * gpv.depth() {
+                continue;
+            }
+            if gpv.bit(pos) {
+                sum += ws[i];
+            } else {
+                sum -= ws[i];
+            }
+        }
+        sum
+    }
+
+    fn branchy_adjust(ws: &mut [i32], sels: &[u8], gpv: &Gpv, resolved: Direction, wmax: i32) {
+        let n = ws.len();
+        for i in 0..n {
+            let pos = i + usize::from(sels[i]) * n;
+            if pos >= 2 * gpv.depth() {
+                continue;
+            }
+            let delta = match (resolved, gpv.bit(pos)) {
+                (Direction::Taken, true) | (Direction::NotTaken, false) => 1,
+                _ => -1,
+            };
+            ws[i] = (ws[i] + delta).clamp(-wmax, wmax);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn branch_free_sums_match_the_branchy_loops(
+            raw_ws in prop::collection::vec(any::<i32>(), 17..18),
+            raw_sels in prop::collection::vec(any::<u8>(), 17..18),
+            bits in any::<u64>(),
+            deep in any::<bool>(),
+            taken in any::<bool>(),
+        ) {
+            let cfg = z15_config().direction.perceptron.expect("z15 has a perceptron");
+            let span = 2 * cfg.weight_max + 1;
+            let ws: Vec<i32> = raw_ws.iter().map(|w| w.rem_euclid(span) - cfg.weight_max).collect();
+            let sels: Vec<u8> =
+                raw_sels.iter().map(|s| s % cfg.virtualization as u8).collect();
+            let gpv = Gpv::from_raw(bits, if deep { 17 } else { 9 });
+            let gpv_bits = 2 * gpv.depth();
+            prop_assert_eq!(dot(&ws, &sels, gpv.raw(), gpv_bits), branchy_dot(&ws, &sels, &gpv));
+            let resolved = if taken { Direction::Taken } else { Direction::NotTaken };
+            let (mut fast, mut reference) = (ws.clone(), ws);
+            adjust(&mut fast, &sels, gpv.raw(), gpv_bits, resolved, cfg.weight_max);
+            branchy_adjust(&mut reference, &sels, &gpv, resolved, cfg.weight_max);
+            prop_assert_eq!(fast, reference);
+        }
     }
 }

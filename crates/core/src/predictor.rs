@@ -15,11 +15,11 @@
 )]
 
 use crate::btb::BtbEntry;
-use crate::btb1::{Btb1, InstallOutcome};
+use crate::btb1::{Btb1, BtbKey, InstallOutcome};
 use crate::btb2::Btb2;
 use crate::btbp::Btbp;
 use crate::config::{InclusionPolicy, PredictorConfig};
-use crate::cpred::{Cpred, PowerMask};
+use crate::cpred::{Cpred, CpredSlot, PowerMask};
 use crate::crs::Crs;
 use crate::ctb::Ctb;
 use crate::direction::{DirectionDecision, DirectionProvider};
@@ -39,11 +39,16 @@ use zbp_model::{BranchRecord, MispredictKind, Prediction, Predictor, ReplayReque
 use zbp_telemetry::Telemetry;
 use zbp_zarch::{static_guess, BranchClass, Direction, InstrAddr};
 
-/// In-flight prediction state, the model's GPQ entry.
+/// In-flight prediction state, the model's GPQ entry. Like the
+/// hardware's GPQ it carries what completion needs from prediction
+/// time, so the write-back re-derives none of it.
 #[derive(Debug, Clone)]
 struct Inflight {
     seq: u64,
     addr: InstrAddr,
+    /// The BTB1 key the prediction port derived for `addr`: every
+    /// completion-time BTB1 write for this branch goes through it.
+    key: BtbKey,
     /// Speculative GPV bits as of prediction time (before this branch's
     /// own taken-push) — the history every index used.
     gpv_bits: u64,
@@ -66,6 +71,9 @@ struct ThreadCtx {
     gpq: VecDeque<Inflight>,
     /// Start address of the current prediction stream.
     stream_start: InstrAddr,
+    /// The current stream's CPRED slot, derived once at stream entry
+    /// (meaningless without a CPRED).
+    stream_slot: CpredSlot,
     /// The power mask applied to the current stream.
     stream_power: PowerMask,
     /// Actual auxiliary needs observed in the current stream.
@@ -73,16 +81,16 @@ struct ThreadCtx {
     /// The power prediction (for the *next* stream) produced by the
     /// CPRED lookup at the current stream's entry.
     next_stream_power: Option<PowerMask>,
-    /// The previous stream's start (its CPRED entry learns the current
+    /// The previous stream's CPRED slot (its entry learns the current
     /// stream's power needs when the current stream ends).
-    prev_stream_start: Option<InstrAddr>,
+    prev_stream_slot: Option<CpredSlot>,
     /// Set when a surprise-taken branch redirected the pipeline to an
     /// address the functional model does not know; the next prediction
     /// re-anchors the stream.
     stream_reset_pending: bool,
-    /// `(branch, target)` of the last completed taken branch, for SKOOT
-    /// distance learning at the next completion.
-    last_completed_taken: Option<(InstrAddr, InstrAddr)>,
+    /// `(branch, its BTB1 key, target)` of the last completed taken
+    /// branch, for SKOOT distance learning at the next completion.
+    last_completed_taken: Option<(InstrAddr, BtbKey, InstrAddr)>,
 }
 
 impl ThreadCtx {
@@ -92,10 +100,11 @@ impl ThreadCtx {
             arch_gpv: Gpv::new(gpv_depth),
             gpq: VecDeque::new(),
             stream_start: InstrAddr::new(0),
+            stream_slot: CpredSlot::default(),
             stream_power: PowerMask::ALL_ON,
             stream_needs: PowerMask::ALL_OFF,
             next_stream_power: None,
-            prev_stream_start: None,
+            prev_stream_slot: None,
             stream_reset_pending: true,
             last_completed_taken: None,
         }
@@ -457,7 +466,7 @@ impl ZPredictor {
         }
         for ctx in &mut self.threads {
             ctx.next_stream_power = None;
-            ctx.prev_stream_start = None;
+            ctx.prev_stream_slot = None;
             ctx.last_completed_taken = None;
             ctx.stream_reset_pending = true;
         }
@@ -492,21 +501,22 @@ impl ZPredictor {
     /// Moves staged BTB2 hits toward the level-1 structures: into the
     /// BTBP on pre-z15 configurations, or through the BTB1
     /// read-before-write port on z15.
+    ///
+    /// Entries are popped and installed one at a time: only a BTB2
+    /// search stages entries, and an install never searches, so the
+    /// queue drains in the same order as a batch would.
     fn drain_staging(&mut self) {
-        let Some(b2) = &mut self.btb2 else { return };
-        let mut staged = Vec::new();
-        while let Some(e) = b2.pop_staged() {
-            staged.push(e);
-        }
-        if !staged.is_empty() {
-            self.tel.count("btb2.transfers", staged.len() as u64);
-        }
-        for e in staged {
+        let mut transfers = 0;
+        while let Some(e) = self.btb2.as_mut().and_then(Btb2::pop_staged) {
+            transfers += 1;
             if let Some(p) = &mut self.btbp {
                 p.fill(e);
             } else {
                 self.install_btb1(e, true);
             }
+        }
+        if transfers > 0 {
+            self.tel.count("btb2.transfers", transfers);
         }
     }
 
@@ -599,13 +609,13 @@ impl ZPredictor {
                 target
             };
             cp.train_exit(
-                self.threads[t].stream_start,
+                self.threads[t].stream_slot,
                 searches.min(255) as u8,
                 way.min(255) as u8,
                 redirect,
             );
             // The previous stream's entry learns this stream's needs.
-            if let Some(prev) = self.threads[t].prev_stream_start {
+            if let Some(prev) = self.threads[t].prev_stream_slot {
                 cp.train_power(prev, self.threads[t].stream_needs);
             }
         }
@@ -614,7 +624,7 @@ impl ZPredictor {
             self.tel.count("skoot.skips", 1);
             self.tel.count("skoot.lines_skipped", skoot_lines);
         }
-        self.threads[t].prev_stream_start = Some(self.threads[t].stream_start);
+        self.threads[t].prev_stream_slot = Some(self.threads[t].stream_slot);
         self.enter_stream(t, target);
     }
 
@@ -630,7 +640,9 @@ impl ZPredictor {
             self.stats.gated_streams += 1;
         }
         if let Some(cp) = &mut self.cpred {
-            let looked = cp.lookup(start);
+            let slot = cp.slot(start);
+            self.threads[t].stream_slot = slot;
+            let looked = cp.lookup(slot);
             #[cfg(feature = "verify")]
             if let Some(p) = &looked {
                 // Column-hint consistency: a trained hint must name a
@@ -646,6 +658,7 @@ impl ZPredictor {
         &mut self,
         t: usize,
         addr: InstrAddr,
+        key: BtbKey,
         way: usize,
         entry: &BtbEntry,
     ) -> DirectionDecision {
@@ -684,7 +697,7 @@ impl ZPredictor {
             // SBHT entry tracking the assumption.
             if entry.bht.is_weak() && self.sbht.is_enabled() {
                 self.sbht.install(sbht_key(t, addr), bht_dir, self.seq);
-                self.btb1.update(addr, |e| e.bht.strengthen(bht_dir));
+                self.btb1.update_keyed(key, |e| e.bht.strengthen(bht_dir));
             }
             return DirectionDecision {
                 dir: bht_dir,
@@ -772,7 +785,7 @@ impl ZPredictor {
         match provider {
             DirectionProvider::Bht if entry.bht.is_weak() && self.sbht.is_enabled() => {
                 self.sbht.install(sbht_key(t, addr), dir, self.seq);
-                self.btb1.update(addr, |e| e.bht.strengthen(dir));
+                self.btb1.update_keyed(key, |e| e.bht.strengthen(dir));
             }
             DirectionProvider::TageShort | DirectionProvider::TageLong => {
                 if let Some(h) = pht_provider {
@@ -868,7 +881,7 @@ impl ZPredictor {
         let gpv_bits = self.threads[t].spec_gpv.raw();
 
         // BTB1 prediction port; BTBP promotion path on older designs.
-        let mut hit = self.btb1.lookup(addr);
+        let (key, mut hit) = self.btb1.lookup_keyed(addr);
         if hit.is_none() && enabled(V::BTBP, self.btbp.is_some()) {
             if let Some(p) = &mut self.btbp {
                 if let Some(promoted) = p.take_hit(addr) {
@@ -899,6 +912,7 @@ impl ZPredictor {
                 self.threads[t].gpq.push_back(Inflight {
                     seq,
                     addr,
+                    key,
                     gpv_bits,
                     dynamic: false,
                     way: 0,
@@ -922,7 +936,7 @@ impl ZPredictor {
                 self.threads[t].stream_needs.note_branch(entry.bidirectional, entry.multi_target);
                 #[cfg(feature = "verify")]
                 self.inv.check_skoot_sound(addr, entry.skoot.skip_lines());
-                let dd = self.decide_direction(t, addr, way, &entry);
+                let dd = self.decide_direction(t, addr, key, way, &entry);
                 let (tgt, p) = if dd.dir.is_taken() {
                     let td = self.decide_target(t, addr, &entry);
                     // Prediction-side CRS push after the prediction.
@@ -946,6 +960,7 @@ impl ZPredictor {
                 self.threads[t].gpq.push_back(Inflight {
                     seq,
                     addr,
+                    key,
                     gpv_bits,
                     dynamic: true,
                     way,
@@ -1101,7 +1116,7 @@ impl ZPredictor {
         // read-port probe only runs when a probe is attached: it is a
         // full row scan per completion, pure observation either way.
         if V::OBSERVED && self.probe.is_some() {
-            if let Some((_, e)) = self.btb1.probe(rec.addr) {
+            if let Some((_, e)) = self.btb1.probe_keyed(info.key) {
                 let entry = *e;
                 self.emit(BplEvent::Btb1Update { entry });
             }
@@ -1110,17 +1125,22 @@ impl ZPredictor {
         // SKOOT distance learning: this branch is the first predictable
         // branch along the previous taken branch's target stream.
         if enabled(V::SKOOT, self.cfg.skoot) {
-            if let Some((prev_branch, prev_target)) = self.threads[t].last_completed_taken.take() {
+            if let Some((prev_branch, prev_key, prev_target)) =
+                self.threads[t].last_completed_taken.take()
+            {
                 if rec.addr.raw() >= prev_target.raw() {
                     let lines = rec.addr.line64_number() - prev_target.line64_number();
                     #[cfg(not(feature = "verify"))]
-                    let learned = self.btb1.update(prev_branch, |e| e.skoot.learn(lines));
+                    let learned = {
+                        let _ = prev_branch;
+                        self.btb1.update_keyed(prev_key, |e| e.skoot.learn(lines))
+                    };
                     #[cfg(feature = "verify")]
                     let learned = {
                         // Capture before/after so the soundness monitor
                         // can check the skip only ever shrinks.
                         let mut observed = None;
-                        let updated = self.btb1.update(prev_branch, |e| {
+                        let updated = self.btb1.update_keyed(prev_key, |e| {
                             let before = e.skoot;
                             e.skoot.learn(lines);
                             observed = Some((before, e.skoot));
@@ -1137,7 +1157,7 @@ impl ZPredictor {
             }
         }
         if rec.taken {
-            self.threads[t].last_completed_taken = Some((rec.addr, rec.target));
+            self.threads[t].last_completed_taken = Some((rec.addr, info.key, rec.target));
         }
     }
 
@@ -1162,7 +1182,7 @@ impl ZPredictor {
         // The pipeline restarts at the corrected address; re-anchor the
         // stream there.
         self.threads[t].next_stream_power = None;
-        self.threads[t].prev_stream_start = None;
+        self.threads[t].prev_stream_slot = None;
         self.threads[t].stream_reset_pending = false;
         self.enter_stream(t, rec.next_pc());
         if V::OBSERVED {
@@ -1247,7 +1267,7 @@ impl ZPredictor {
         // pipeline (§IV).
         let mut trained = info.dir.bht_snapshot;
         trained.train(resolved);
-        self.btb1.update(rec.addr, |e| {
+        self.btb1.update_keyed(info.key, |e| {
             e.branch_addr = rec.addr; // heal tag-alias takeover
             e.bht = trained;
             if dir_wrong {
@@ -1293,7 +1313,7 @@ impl ZPredictor {
                 if t.target != rec.target {
                     match t.provider {
                         TargetProvider::Btb => {
-                            self.btb1.update(rec.addr, |e| {
+                            self.btb1.update_keyed(info.key, |e| {
                                 e.multi_target = true;
                                 e.target = rec.target;
                             });
@@ -1315,7 +1335,7 @@ impl ZPredictor {
                             }
                         }
                         TargetProvider::Crs => {
-                            self.btb1.update(rec.addr, |e| e.crs_blacklisted = true);
+                            self.btb1.update_keyed(info.key, |e| e.crs_blacklisted = true);
                             if let Some(crs) = &mut self.crs {
                                 crs.note_blacklist();
                             }
@@ -1327,7 +1347,7 @@ impl ZPredictor {
                 // Predicted not-taken but resolved taken: refresh a
                 // stale BTB1 target so the next taken prediction is
                 // usable.
-                self.btb1.update(rec.addr, |e| e.target = rec.target);
+                self.btb1.update_keyed(info.key, |e| e.target = rec.target);
             }
         }
 
@@ -1339,31 +1359,36 @@ impl ZPredictor {
     /// CRS completion machinery, run for *every* completed resolved-taken
     /// branch (dynamic or surprise, §VI): amnesty check first (it probes
     /// the detect stack non-destructively), then detection (which may
-    /// consume the stack). The CRS is temporarily taken out of self so
-    /// BTB1 updates and event emission can proceed alongside it.
+    /// consume the stack). The CRS is borrowed in place next to the
+    /// disjoint BTB1 and probe fields, so its two events go straight to
+    /// the probe (`emit` would borrow all of `self`).
     fn complete_crs(&mut self, t: usize, rec: &BranchRecord, info: &Inflight) {
-        let Some(mut crs) = self.crs.take() else { return };
-        if rec.taken {
-            let was_wrong_target = info.dynamic
-                && info.tgt.is_some_and(|td| info.dir.dir.is_taken() && td.target != rec.target);
-            if was_wrong_target {
-                let blacklisted =
-                    self.btb1.probe(rec.addr).map(|(_, e)| e.crs_blacklisted).unwrap_or(false);
-                if blacklisted {
-                    let still_pairs = crs.detect_stack_matches(t, rec.target);
-                    if crs.amnesty_due(still_pairs) {
-                        self.btb1.update(rec.addr, |e| e.crs_blacklisted = false);
-                        self.emit(BplEvent::CrsAmnesty { addr: rec.addr });
+        if !rec.taken {
+            return;
+        }
+        let Some(crs) = self.crs.as_mut() else { return };
+        let (btb1, probe) = (&mut self.btb1, &mut self.probe);
+        let was_wrong_target = info.dynamic
+            && info.tgt.is_some_and(|td| info.dir.dir.is_taken() && td.target != rec.target);
+        if was_wrong_target {
+            let blacklisted =
+                btb1.probe_keyed(info.key).map(|(_, e)| e.crs_blacklisted).unwrap_or(false);
+            if blacklisted {
+                let still_pairs = crs.detect_stack_matches(t, rec.target);
+                if crs.amnesty_due(still_pairs) {
+                    btb1.update_keyed(info.key, |e| e.crs_blacklisted = false);
+                    if let Some(p) = probe {
+                        p.event(&BplEvent::CrsAmnesty { addr: rec.addr });
                     }
                 }
             }
-            if let Some(off) = crs.note_completed_taken(t, rec.addr, rec.target, rec.fall_through())
-            {
-                self.btb1.update(rec.addr, |e| e.return_offset = Some(off));
-                self.emit(BplEvent::CrsDetect { addr: rec.addr, offset: off });
+        }
+        if let Some(off) = crs.note_completed_taken(t, rec.addr, rec.target, rec.fall_through()) {
+            btb1.update_keyed(info.key, |e| e.return_offset = Some(off));
+            if let Some(p) = probe {
+                p.event(&BplEvent::CrsDetect { addr: rec.addr, offset: off });
             }
         }
-        self.crs = Some(crs);
     }
 
     /// Completion-time handling for a surprise branch: install policy
@@ -1503,7 +1528,7 @@ impl ZPredictor {
     pub fn fault_corrupt_cpred(&mut self, stream_start: InstrAddr) -> bool {
         match &mut self.cpred {
             Some(cp) => {
-                cp.train_exit(stream_start, 0, 255, stream_start);
+                cp.train_exit(cp.slot(stream_start), 0, 255, stream_start);
                 true
             }
             None => false,
@@ -1890,7 +1915,7 @@ mod tests {
         for ctx in &p.threads {
             assert!(ctx.stream_reset_pending, "streams re-anchor in the new context");
             assert!(ctx.next_stream_power.is_none());
-            assert!(ctx.prev_stream_start.is_none());
+            assert!(ctx.prev_stream_slot.is_none());
             assert!(ctx.last_completed_taken.is_none());
         }
     }

@@ -101,6 +101,9 @@ impl SpecOverride {
     /// Removes entries installed by the completing (or flushed)
     /// prediction `installer`.
     pub fn retire(&mut self, installer: u64) {
+        if self.entries.is_empty() {
+            return;
+        }
         self.entries.retain(|e| e.installer != installer);
     }
 

@@ -63,7 +63,7 @@ use zbp_telemetry::{Snapshot, Telemetry, Track};
 #[derive(Debug, Clone, Default)]
 pub struct ReplayCore {
     depth: usize,
-    inflight: VecDeque<(BranchRecord, Prediction, Option<MispredictKind>)>,
+    inflight: VecDeque<(BranchRecord, Prediction)>,
     out: RunStats,
     branch_idx: u64,
     warmup_left: u64,
@@ -175,7 +175,7 @@ impl ReplayCore {
             }
             kind
         };
-        self.inflight.push_back((*rec, p, kind));
+        self.inflight.push_back((*rec, p));
         if !warming {
             tel.count("harness.branches", 1);
             tel.record("harness.window_occupancy", self.inflight.len() as u64);
@@ -190,13 +190,13 @@ impl ReplayCore {
                 tel.instant(Track::Harness, "flush", self.branch_idx);
                 self.out.flushes += 1;
             }
-            while let Some((r, pr, _)) = self.inflight.pop_front() {
+            while let Some((r, pr)) = self.inflight.pop_front() {
                 pred.resolve_on(r.thread, &r, &pr);
             }
             pred.flush_on(rec.thread, rec);
         } else {
             while self.inflight.len() > self.depth {
-                let (r, pr, _) = self.inflight.pop_front().expect("non-empty");
+                let (r, pr) = self.inflight.pop_front().expect("non-empty");
                 pred.resolve_on(r.thread, &r, &pr);
             }
         }
@@ -215,7 +215,7 @@ impl ReplayCore {
     /// double-counting bug on either side; the strict split keeps both
     /// honest.)
     pub fn finish<P: Predictor + ?Sized>(mut self, pred: &mut P, tail_instrs: u64) -> RunStats {
-        while let Some((r, pr, _)) = self.inflight.pop_front() {
+        while let Some((r, pr)) = self.inflight.pop_front() {
             pred.resolve_on(r.thread, &r, &pr);
         }
         self.out.stats.add_instructions(tail_instrs);
