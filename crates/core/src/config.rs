@@ -317,6 +317,9 @@ impl PredictorConfig {
                 if !rows_per_way.is_power_of_two() {
                     return Err(ConfigError::new("pht rows_per_way must be a power of two"));
                 }
+                if !indices_fit::<u32>(*rows_per_way) {
+                    return Err(ConfigError::new("pht rows_per_way must fit a u32 row index"));
+                }
                 if *history > self.gpv_depth {
                     return Err(ConfigError::new("pht history exceeds gpv_depth"));
                 }
@@ -324,6 +327,9 @@ impl PredictorConfig {
             PhtKind::Tage { rows_per_way, short_history, long_history } => {
                 if !rows_per_way.is_power_of_two() {
                     return Err(ConfigError::new("tage rows_per_way must be a power of two"));
+                }
+                if !indices_fit::<u32>(*rows_per_way) {
+                    return Err(ConfigError::new("tage rows_per_way must fit a u32 row index"));
                 }
                 if short_history >= long_history {
                     return Err(ConfigError::new("tage short_history must be < long_history"));
@@ -336,6 +342,9 @@ impl PredictorConfig {
         if let Some(p) = &self.direction.perceptron {
             if !p.rows.is_power_of_two() {
                 return Err(ConfigError::new("perceptron rows must be a power of two"));
+            }
+            if !indices_fit::<u16>(p.rows) || !indices_fit::<u16>(p.ways) {
+                return Err(ConfigError::new("perceptron rows and ways must fit a u16 index"));
             }
             if p.weights * p.virtualization < 2 * self.gpv_depth {
                 return Err(ConfigError::new(
@@ -429,6 +438,12 @@ impl PredictorConfig {
     pub fn taken_period_cpred(&self) -> u32 {
         self.timing.cpred_reindex_stage
     }
+}
+
+/// Whether every index below `len` fits in `T`: the GPQ entry stores PHT
+/// rows as `u32` and perceptron rows and ways as `u16`.
+fn indices_fit<T: TryFrom<usize>>(len: usize) -> bool {
+    T::try_from(len.saturating_sub(1)).is_ok()
 }
 
 /// A configuration validation error.
@@ -861,6 +876,36 @@ mod tests {
             c.validate().unwrap_err()
         };
         assert!(err.to_string().contains("search_bytes"));
+    }
+
+    #[test]
+    fn validation_rejects_geometries_the_gpq_cannot_index() {
+        let with_pht = |pht| {
+            let mut c = z15_config();
+            c.direction.pht = pht;
+            c.validate()
+        };
+        let tage =
+            |rows_per_way| PhtKind::Tage { rows_per_way, short_history: 9, long_history: 17 };
+        let single = |rows_per_way| PhtKind::SingleTable { rows_per_way, history: 9 };
+        // Row indices up to u32::MAX fit; one more doubling does not.
+        assert!(with_pht(tage(1 << 32)).is_ok());
+        assert!(with_pht(single(1 << 32)).is_ok());
+        let err = with_pht(tage(1 << 33)).unwrap_err();
+        assert!(err.to_string().contains("u32 row index"), "{err}");
+        assert!(with_pht(single(1 << 33)).is_err());
+
+        let with_perceptron = |rows, ways| {
+            let mut c = z15_config();
+            let p = c.direction.perceptron.as_mut().expect("z15 has a perceptron");
+            p.rows = rows;
+            p.ways = ways;
+            c.validate()
+        };
+        assert!(with_perceptron(1 << 16, 1 << 16).is_ok());
+        let err = with_perceptron(1 << 17, 2).unwrap_err();
+        assert!(err.to_string().contains("u16 index"), "{err}");
+        assert!(with_perceptron(16, (1 << 16) + 1).is_err());
     }
 
     #[test]

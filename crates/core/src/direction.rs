@@ -78,8 +78,12 @@ pub struct DirectionDecision {
     /// The perceptron's opinion, tracked even when it is not (yet) the
     /// provider, for its usefulness accrual.
     pub perceptron_dir: Option<Direction>,
-    /// Perceptron hit location, if any.
-    pub perceptron_slot: Option<(usize, usize)>,
+    /// Perceptron hit location `(row, way)`, if any, stored narrow
+    /// ([`PredictorConfig::validate`] bounds the perceptron's `rows`
+    /// and `ways` to `u16`).
+    ///
+    /// [`PredictorConfig::validate`]: crate::config::PredictorConfig::validate
+    pub perceptron_slot: Option<(u16, u16)>,
     /// The raw PHT lookup (for completion-time training).
     pub pht_lookup: PhtLookup,
     /// The PHT hit that provided, when provider is a TAGE table.
@@ -92,6 +96,10 @@ pub struct DirectionDecision {
     /// is exactly the §IV staleness the SBHT compensates for.
     pub bht_snapshot: TwoBit,
 }
+
+// Moved with every GPQ entry push and pop; see PERFORMANCE.md, "Where a
+// served Feed's time goes".
+const _: () = assert!(std::mem::size_of::<DirectionDecision>() <= 40);
 
 impl DirectionDecision {
     /// A static-guess decision for a surprise branch.

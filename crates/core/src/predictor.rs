@@ -53,10 +53,14 @@ struct Inflight {
     /// own taken-push) — the history every index used.
     gpv_bits: u64,
     dynamic: bool,
-    way: usize,
+    way: u8,
     dir: DirectionDecision,
     tgt: Option<TargetDecision>,
 }
+
+// Every predicted branch pushes one entry and pops it at completion;
+// see PERFORMANCE.md, "Where a served Feed's time goes".
+const _: () = assert!(std::mem::size_of::<Inflight>() <= 96);
 
 /// Per-SMT-thread speculative and stream state. The prediction arrays
 /// (BTB1/BTB2, PHT, perceptron, CTB, CPRED) are shared between the two
@@ -803,7 +807,7 @@ impl ZPredictor {
             provider,
             alt_dir,
             perceptron_dir: perc_hit.map(|h| h.dir),
-            perceptron_slot: perc_hit.map(|h| (h.row, h.way)),
+            perceptron_slot: perc_hit.map(|h| (h.row as u16, h.way as u16)),
             pht_lookup,
             pht_provider,
             bht_dir: raw_bht,
@@ -846,12 +850,12 @@ fn sbht_key(t: usize, addr: InstrAddr) -> u64 {
 
 /// Encodes a PHT slot (plus the observing thread) as a
 /// speculative-override key.
-fn spht_key(t: usize, table: TageTable, way: usize, row: usize) -> u64 {
+fn spht_key(t: usize, table: TageTable, way: u8, row: u32) -> u64 {
     let tb = match table {
         TageTable::Short => 0u64,
         TageTable::Long => 1,
     };
-    ((t as u64) << 61) | (tb << 62) | ((way as u64) << 48) | row as u64
+    ((t as u64) << 61) | (tb << 62) | (u64::from(way) << 48) | u64::from(row)
 }
 
 /// The real predict/resolve/flush bodies, generic over a
@@ -963,7 +967,7 @@ impl ZPredictor {
                     key,
                     gpv_bits,
                     dynamic: true,
-                    way,
+                    way: way as u8,
                     dir: dd,
                     tgt,
                 });
@@ -1281,12 +1285,13 @@ impl ZPredictor {
         // PHT allocation after a wrong direction.
         if dir_wrong {
             let wrong_table = info.dir.pht_provider.filter(|h| h.dir != resolved).map(|h| h.table);
-            self.pht.allocate(rec.addr, info.way, gpv_at_predict, resolved, wrong_table);
+            self.pht.allocate(rec.addr, info.way.into(), gpv_at_predict, resolved, wrong_table);
         }
 
         // Perceptron training, usefulness and installation.
         if let Some(perc) = &mut self.perceptron {
             if let Some((row, way)) = info.dir.perceptron_slot {
+                let (row, way) = (usize::from(row), usize::from(way));
                 perc.train(row, way, gpv_at_predict, resolved);
                 if let Some(pdir) = info.dir.perceptron_dir {
                     let (perc_correct, other_correct) =

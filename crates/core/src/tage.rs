@@ -58,21 +58,29 @@ pub struct PhtEntry {
     usefulness: SatCounter,
 }
 
-/// A hit in one PHT table.
+/// A hit in one PHT table. It rides in the GPQ entry, so its indices
+/// are stored narrow: [`PredictorConfig::validate`] bounds
+/// `rows_per_way` to the `u32` row, and BTB1 has at most 16 ways.
+///
+/// [`PredictorConfig::validate`]: crate::config::PredictorConfig::validate
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhtHit {
     /// Which table (always [`TageTable::Short`] for the single-table
     /// design).
     pub table: TageTable,
     /// Row index of the hit (for the completion-time update).
-    pub row: usize,
+    pub row: u32,
     /// BTB1 way column of the hit.
-    pub way: usize,
+    pub way: u8,
     /// Predicted direction.
     pub dir: Direction,
     /// Whether the counter was in a weak state.
     pub weak: bool,
 }
+
+// Two of these ride in every GPQ entry's `PhtLookup` and a third as its
+// provider; see PERFORMANCE.md, "Where a served Feed's time goes".
+const _: () = assert!(std::mem::size_of::<PhtHit>() <= 8);
 
 /// The result of looking up both TAGE tables (or the one single table).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -231,8 +239,8 @@ impl Pht {
         let tag = gpv.fold_tag(history, addr, self.tag_bits);
         table.get(way, row).filter(|e| e.tag == tag).map(|e| PhtHit {
             table: which,
-            row,
-            way,
+            row: row as u32,
+            way: way as u8,
             dir: e.ctr.direction(),
             weak: e.ctr.is_weak(),
         })
@@ -319,7 +327,7 @@ impl Pht {
         let mut trained = TwoBit::from_parts(p.dir, p.weak);
         trained.train(resolved);
         if let Some(table) = self.table_mut(p.table) {
-            if let Some(e) = table.get_mut(p.way, p.row).as_mut() {
+            if let Some(e) = table.get_mut(usize::from(p.way), p.row as usize).as_mut() {
                 e.ctr = trained;
                 match usefulness_delta {
                     1 => e.usefulness.inc(),
@@ -335,7 +343,7 @@ impl Pht {
     pub fn strengthen(&mut self, hit: &PhtHit, dir: Direction) {
         let table = hit.table;
         if let Some(t) = self.table_mut(table) {
-            if let Some(e) = t.get_mut(hit.way, hit.row).as_mut() {
+            if let Some(e) = t.get_mut(usize::from(hit.way), hit.row as usize).as_mut() {
                 e.ctr.strengthen(dir);
             }
         }
@@ -546,7 +554,7 @@ mod tests {
             let lk = p.lookup_quiet(ADDR, 0, &g);
             p.train(&lk, None, Direction::NotTaken, Direction::NotTaken);
             // Re-weaken the entry so it stays weak for the test.
-            let row = lk.long.unwrap().row;
+            let row = lk.long.unwrap().row as usize;
             if let Some(t) = p.table_mut(TageTable::Long) {
                 if let Some(e) = t.get_mut(0, row).as_mut() {
                     e.ctr = TwoBit::WEAK_TAKEN;
@@ -561,7 +569,7 @@ mod tests {
         for _ in 0..8 {
             let lk = p.lookup_quiet(ADDR, 0, &g);
             p.train(&lk, None, Direction::NotTaken, Direction::Taken);
-            let row = lk.long.unwrap().row;
+            let row = lk.long.unwrap().row as usize;
             if let Some(t) = p.table_mut(TageTable::Long) {
                 if let Some(e) = t.get_mut(0, row).as_mut() {
                     e.ctr = TwoBit::WEAK_TAKEN;
@@ -606,7 +614,7 @@ mod tests {
         let mut conflict = None;
         for k in 1..50_000u64 {
             let cand = InstrAddr::new(ADDR.raw() + k * 2);
-            if g.fold_index(9, cand, 512) == hit.row
+            if g.fold_index(9, cand, 512) == hit.row as usize
                 && g.fold_tag(9, cand, 10) != g.fold_tag(9, ADDR, 10)
             {
                 conflict = Some(cand);

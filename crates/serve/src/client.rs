@@ -81,6 +81,8 @@ pub struct RemoteReport {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Outgoing frame bytes, reused by every request.
+    wbuf: Vec<u8>,
     /// Busy-retry budget per request.
     max_retries: u32,
     /// Sleep between Busy retries is the server hint capped here.
@@ -104,6 +106,7 @@ impl Client {
         let mut client = Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
+            wbuf: Vec::new(),
             max_retries: 10_000,
             max_backoff: Duration::from_millis(20),
             busy_retries: 0,
@@ -133,7 +136,7 @@ impl Client {
     /// server closed the connection.
     pub fn call(&mut self, frame: &Frame) -> Result<Frame, ClientError> {
         use std::io::Write;
-        frame.write_to(&mut self.writer)?;
+        frame.write_with(&mut self.writer, &mut self.wbuf)?;
         self.writer.flush().map_err(ProtoError::Io)?;
         match Frame::read_from(&mut self.reader)? {
             Some(f) => Ok(f),

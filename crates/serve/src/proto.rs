@@ -7,7 +7,7 @@
 //! amounts).
 //!
 //! Integers are little-endian throughout, matching the on-disk ZBPT
-//! trace format. Branch records travel as fixed 30-byte entries; stats
+//! trace format. Branch records travel as fixed 26-byte entries; stats
 //! come back as the nine `MispredictStats` counters in declaration
 //! order, so the layout is stable as long as that struct is.
 //!
@@ -41,12 +41,20 @@ use zbp_zarch::{InstrAddr, Mnemonic};
 
 use crate::session::{ReplayMode, SessionReport, DEFAULT_DEPTH};
 
-/// Hard ceiling on a frame's payload size (1 MiB). At 30 bytes per
-/// record this allows batches of ~34k branches.
+/// Hard ceiling on a frame's payload size (1 MiB). At
+/// [`RECORD_BYTES`] per record this allows batches of ~34k branches.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Encoded size of one [`BranchRecord`] on the wire.
+/// Bytes a `Feed` batch is budgeted per record: a decoder rejects a
+/// count whose budget exceeds [`MAX_FRAME`], and
+/// [`Client::run_trace`](crate::Client::run_trace) caps its batches at
+/// `MAX_FRAME / RECORD_BYTES`. An encoded record is 26 bytes; the
+/// budget is kept at 30 because both limits are part of the protocol's
+/// observable behaviour.
 pub const RECORD_BYTES: usize = 30;
+
+/// Encoded size of one [`BranchRecord`] on the wire.
+const RECORD_WIRE_BYTES: usize = 26;
 
 /// Current protocol revision, carried in the `Hello`/`HelloOk`
 /// handshake. Bump on any incompatible frame-layout change.
@@ -295,15 +303,89 @@ fn preset_from(code: u8) -> Option<WirePreset> {
     GenerationPreset::ALL.get(usize::from(code)).copied().map(WirePreset::Generation)
 }
 
-fn mnemonic_code(m: Mnemonic) -> u8 {
-    // zbp-analyze: allow(panic-path): every `Mnemonic` variant is in
-    // `ALL` by construction (pinned by the mnemonic round-trip test),
-    // so `position` always hits.
-    Mnemonic::ALL.iter().position(|x| *x == m).expect("mnemonic in ALL") as u8
+/// A mnemonic's wire code: its declaration index, which is also its
+/// index in [`Mnemonic::ALL`] (checked below at compile time).
+const fn mnemonic_code(m: Mnemonic) -> u8 {
+    m as u8
 }
+
+// Every wire code decodes back to the mnemonic it encodes.
+const _: () = {
+    let mut i = 0;
+    while i < Mnemonic::ALL.len() {
+        assert!(mnemonic_code(Mnemonic::ALL[i]) as usize == i);
+        i += 1;
+    }
+};
 
 fn mnemonic_from(code: u8) -> Option<Mnemonic> {
     Mnemonic::ALL.get(usize::from(code)).copied()
+}
+
+/// `Feed` payload bytes before the records: opcode, stream id, count.
+const FEED_HEADER_BYTES: usize = 13;
+
+/// Offset of the mnemonic code inside a record.
+const MNEMONIC_AT: usize = 16;
+
+/// One record's 26-byte wire layout: address, target, mnemonic code,
+/// taken, thread, a pad byte, gap, two pad bytes.
+#[rustfmt::skip] // one row per field group, so the layout reads as a table
+fn record_bytes(r: &BranchRecord) -> [u8; RECORD_WIRE_BYTES] {
+    let [a0, a1, a2, a3, a4, a5, a6, a7] = r.addr.raw().to_le_bytes();
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = r.target.raw().to_le_bytes();
+    let [g0, g1, g2, g3] = r.gap_instrs.to_le_bytes();
+    [
+        a0, a1, a2, a3, a4, a5, a6, a7,
+        t0, t1, t2, t3, t4, t5, t6, t7,
+        mnemonic_code(r.mnemonic), u8::from(r.taken), r.thread.0, 0,
+        g0, g1, g2, g3,
+        0, 0,
+    ]
+}
+
+/// Parses one record laid out by [`record_bytes`]; only the mnemonic
+/// code can be invalid.
+#[rustfmt::skip] // the pattern mirrors `record_bytes`' table
+fn record_from(b: &[u8; RECORD_WIRE_BYTES]) -> Result<BranchRecord, ProtoError> {
+    let [
+        a0, a1, a2, a3, a4, a5, a6, a7,
+        t0, t1, t2, t3, t4, t5, t6, t7,
+        mnemonic, taken, thread, _,
+        g0, g1, g2, g3,
+        _, _,
+    ] = *b;
+    Ok(BranchRecord {
+        addr: InstrAddr::new(u64::from_le_bytes([a0, a1, a2, a3, a4, a5, a6, a7])),
+        mnemonic: mnemonic_from(mnemonic).ok_or(ProtoError::Malformed("unknown mnemonic"))?,
+        taken: taken != 0,
+        target: InstrAddr::new(u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7])),
+        thread: ThreadId(thread),
+        gap_instrs: u32::from_le_bytes([g0, g1, g2, g3]),
+    })
+}
+
+/// Parses the `n` records of a `Feed` (`n` already bounds-checked),
+/// failing as reading them field by field would: at the first unknown
+/// mnemonic among whole records, then, for a short body, with "unknown
+/// mnemonic" if the partial record's mnemonic byte arrived and is
+/// unknown, else "truncated frame".
+fn decode_feed_records(r: &mut Cursor<'_>, n: usize) -> Result<Vec<BranchRecord>, ProtoError> {
+    let body = r.take_up_to(n * RECORD_WIRE_BYTES);
+    let (records, partial) = body.as_chunks::<RECORD_WIRE_BYTES>();
+    let mut batch = Vec::with_capacity(n);
+    for rec in records {
+        batch.push(record_from(rec)?);
+    }
+    if batch.len() < n {
+        let unknown = partial.get(MNEMONIC_AT).is_some_and(|&code| mnemonic_from(code).is_none());
+        return Err(ProtoError::Malformed(if unknown {
+            "unknown mnemonic"
+        } else {
+            "truncated frame"
+        }));
+    }
+    Ok(batch)
 }
 
 impl Frame {
@@ -311,86 +393,7 @@ impl Frame {
     /// prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        match self {
-            Frame::Hello { version } => {
-                out.push(OP_HELLO);
-                out.extend_from_slice(&HELLO_MAGIC);
-                out.extend_from_slice(&version.to_le_bytes());
-            }
-            Frame::HelloOk { version } => {
-                out.push(OP_HELLO_OK);
-                out.extend_from_slice(&version.to_le_bytes());
-            }
-            Frame::Open { preset, mode, traced, label } => {
-                out.push(OP_OPEN);
-                out.push(preset_code(*preset));
-                match mode {
-                    WireMode::Delayed(d) => {
-                        out.push(0);
-                        out.extend_from_slice(&d.to_le_bytes());
-                    }
-                    WireMode::Lookahead => {
-                        out.push(1);
-                        out.extend_from_slice(&0u32.to_le_bytes());
-                    }
-                    WireMode::CosimDefault => {
-                        out.push(2);
-                        out.extend_from_slice(&0u32.to_le_bytes());
-                    }
-                }
-                out.push(u8::from(*traced));
-                let label = label.as_bytes();
-                out.extend_from_slice(&(label.len() as u32).to_le_bytes());
-                out.extend_from_slice(label);
-            }
-            Frame::Feed { id, batch } => {
-                out.push(OP_FEED);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-                for r in batch {
-                    out.extend_from_slice(&r.addr.raw().to_le_bytes());
-                    out.extend_from_slice(&r.target.raw().to_le_bytes());
-                    out.push(mnemonic_code(r.mnemonic));
-                    out.push(u8::from(r.taken));
-                    out.push(r.thread.0);
-                    out.push(0);
-                    out.extend_from_slice(&r.gap_instrs.to_le_bytes());
-                    out.extend_from_slice(&0u16.to_le_bytes());
-                }
-            }
-            Frame::Close { id, tail_instrs } => {
-                out.push(OP_CLOSE);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&tail_instrs.to_le_bytes());
-            }
-            Frame::OpenOk { id, shard } => {
-                out.push(OP_OPEN_OK);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&shard.to_le_bytes());
-            }
-            Frame::FeedOk { records } => {
-                out.push(OP_FEED_OK);
-                out.extend_from_slice(&records.to_le_bytes());
-            }
-            Frame::CloseOk { stats, flushes, records } => {
-                out.push(OP_CLOSE_OK);
-                for c in stats_counters(stats) {
-                    out.extend_from_slice(&c.to_le_bytes());
-                }
-                out.extend_from_slice(&flushes.to_le_bytes());
-                out.extend_from_slice(&records.to_le_bytes());
-            }
-            Frame::Busy { retry_after_ms } => {
-                out.push(OP_BUSY);
-                out.extend_from_slice(&retry_after_ms.to_le_bytes());
-            }
-            Frame::Err { message } => {
-                out.push(OP_ERR);
-                let msg = message.as_bytes();
-                out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-                out.extend_from_slice(msg);
-            }
-        }
+        encode(self, &mut out);
         debug_assert!(out.len() <= MAX_FRAME, "encoded frame exceeds MAX_FRAME");
         out
     }
@@ -428,20 +431,7 @@ impl Frame {
                 if n.checked_mul(RECORD_BYTES).is_none_or(|total| total > MAX_FRAME) {
                     return Err(ProtoError::Malformed("batch count exceeds frame limit"));
                 }
-                let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let addr = InstrAddr::new(r.u64()?);
-                    let target = InstrAddr::new(r.u64()?);
-                    let mnemonic =
-                        mnemonic_from(r.u8()?).ok_or(ProtoError::Malformed("unknown mnemonic"))?;
-                    let taken = r.u8()? != 0;
-                    let thread = ThreadId(r.u8()?);
-                    let _pad = r.u8()?;
-                    let gap_instrs = r.u32()?;
-                    let _pad2 = r.bytes(2)?;
-                    batch.push(BranchRecord { addr, mnemonic, taken, target, thread, gap_instrs });
-                }
-                Frame::Feed { id, batch }
+                Frame::Feed { id, batch: decode_feed_records(&mut r, n)? }
             }
             OP_CLOSE => Frame::Close { id: r.u64()?, tail_instrs: r.u64()? },
             OP_OPEN_OK => Frame::OpenOk { id: r.u64()?, shard: r.u32()? },
@@ -476,14 +466,32 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// Propagates transport write failures.
+    /// [`ProtoError::FrameTooLarge`] when the payload exceeds
+    /// [`MAX_FRAME`] (nothing is written), and transport write failures.
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), ProtoError> {
-        let payload = self.encode();
-        if payload.len() > MAX_FRAME {
-            return Err(ProtoError::FrameTooLarge(payload.len()));
+        self.write_with(w, &mut Vec::new())
+    }
+
+    /// [`write_to`](Frame::write_to) through a caller-owned buffer: the
+    /// length prefix and payload are built in `buf` (cleared first) and
+    /// leave in one `write_all`, and a caller writing many frames keeps
+    /// one allocation.
+    pub(crate) fn write_with(
+        &self,
+        w: &mut impl Write,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), ProtoError> {
+        buf.clear();
+        buf.extend_from_slice(&[0; 4]);
+        encode(self, buf);
+        let len = buf.len() - 4;
+        if len > MAX_FRAME {
+            return Err(ProtoError::FrameTooLarge(len));
         }
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(&payload)?;
+        if let Some(prefix) = buf.first_chunk_mut::<4>() {
+            *prefix = (len as u32).to_le_bytes();
+        }
+        w.write_all(buf)?;
         Ok(())
     }
 
@@ -510,6 +518,85 @@ impl Frame {
         let mut payload = vec![0u8; len];
         r.read_exact(&mut payload)?;
         Frame::decode(&payload).map(Some)
+    }
+}
+
+/// Appends `frame`'s payload to `out`: the body of [`Frame::encode`] and
+/// of the buffered [`Frame::write_to`].
+fn encode(frame: &Frame, out: &mut Vec<u8>) {
+    match frame {
+        Frame::Hello { version } => {
+            out.push(OP_HELLO);
+            out.extend_from_slice(&HELLO_MAGIC);
+            out.extend_from_slice(&version.to_le_bytes());
+        }
+        Frame::HelloOk { version } => {
+            out.push(OP_HELLO_OK);
+            out.extend_from_slice(&version.to_le_bytes());
+        }
+        Frame::Open { preset, mode, traced, label } => {
+            out.push(OP_OPEN);
+            out.push(preset_code(*preset));
+            match mode {
+                WireMode::Delayed(d) => {
+                    out.push(0);
+                    out.extend_from_slice(&d.to_le_bytes());
+                }
+                WireMode::Lookahead => {
+                    out.push(1);
+                    out.extend_from_slice(&0u32.to_le_bytes());
+                }
+                WireMode::CosimDefault => {
+                    out.push(2);
+                    out.extend_from_slice(&0u32.to_le_bytes());
+                }
+            }
+            out.push(u8::from(*traced));
+            let label = label.as_bytes();
+            out.extend_from_slice(&(label.len() as u32).to_le_bytes());
+            out.extend_from_slice(label);
+        }
+        Frame::Feed { id, batch } => {
+            out.reserve(FEED_HEADER_BYTES + RECORD_WIRE_BYTES * batch.len());
+            out.push(OP_FEED);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+            for r in batch {
+                out.extend_from_slice(&record_bytes(r));
+            }
+        }
+        Frame::Close { id, tail_instrs } => {
+            out.push(OP_CLOSE);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&tail_instrs.to_le_bytes());
+        }
+        Frame::OpenOk { id, shard } => {
+            out.push(OP_OPEN_OK);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&shard.to_le_bytes());
+        }
+        Frame::FeedOk { records } => {
+            out.push(OP_FEED_OK);
+            out.extend_from_slice(&records.to_le_bytes());
+        }
+        Frame::CloseOk { stats, flushes, records } => {
+            out.push(OP_CLOSE_OK);
+            for c in stats_counters(stats) {
+                out.extend_from_slice(&c.to_le_bytes());
+            }
+            out.extend_from_slice(&flushes.to_le_bytes());
+            out.extend_from_slice(&records.to_le_bytes());
+        }
+        Frame::Busy { retry_after_ms } => {
+            out.push(OP_BUSY);
+            out.extend_from_slice(&retry_after_ms.to_le_bytes());
+        }
+        Frame::Err { message } => {
+            out.push(OP_ERR);
+            let msg = message.as_bytes();
+            out.extend_from_slice(&(msg.len() as u32).to_le_bytes());
+            out.extend_from_slice(msg);
+        }
     }
 }
 
@@ -554,6 +641,14 @@ struct Cursor<'a> {
 }
 
 impl Cursor<'_> {
+    /// The next `n` bytes, or all that remain if fewer do.
+    fn take_up_to(&mut self, n: usize) -> &[u8] {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let out = rest.get(..n).unwrap_or(rest);
+        self.pos += out.len();
+        out
+    }
+
     fn bytes(&mut self, n: usize) -> Result<&[u8], ProtoError> {
         let end = self
             .pos
