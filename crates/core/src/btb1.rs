@@ -51,7 +51,7 @@
 
 use crate::btb::BtbEntry;
 use crate::config::Btb1Config;
-use crate::util::{index_of, lru_fresh_ranks, lru_touch, lru_victim, tag_of};
+use crate::util::{index_of, lru_fresh_ranks, lru_touch, lru_victim, tag_of, Touched};
 use zbp_zarch::InstrAddr;
 
 /// Outcome of an install attempt.
@@ -101,6 +101,9 @@ pub struct Btb1 {
     entries: Vec<Option<BtbEntry>>,
     /// LRU age per slot (0 = MRU within its row).
     lru: Vec<u8>,
+    /// Rows installed into since the last [`clear`](Btb1::clear): a
+    /// key turns valid, and LRU ranks move, only in these.
+    touched: Touched,
     line_bytes: u64,
     /// `log2(line_bytes)` — line numbers derive by shift, not division.
     line_shift: u32,
@@ -116,25 +119,29 @@ pub struct Btb1 {
 }
 
 impl Btb1 {
-    /// Builds an empty BTB1 from its configuration.
+    /// Builds an empty BTB1 from its configuration: storage allocated
+    /// in the power-on image (no valid key, fresh LRU ranks in every
+    /// row) with no row touched, then [`clear`](Self::clear) sets the
+    /// rest.
     pub fn new(cfg: &Btb1Config) -> Self {
         assert!(cfg.search_bytes.is_power_of_two(), "search width must be a power of two");
         let slots = cfg.rows * cfg.ways;
-        Btb1 {
+        let mut b = Btb1 {
             keys: vec![0; slots],
             entries: vec![None; slots],
             lru: lru_fresh_ranks(cfg.ways).collect::<Vec<u8>>().repeat(cfg.rows),
+            touched: Touched::new(cfg.rows),
             line_bytes: cfg.search_bytes,
             line_shift: cfg.search_bytes.trailing_zeros(),
             tag_bits: cfg.tag_bits,
             ways: cfg.ways,
             rows: cfg.rows,
-            // No line is all-ones (lines are `line_bytes`-aligned), so
-            // the memo starts provably cold.
-            memo_line: u64::MAX,
+            memo_line: 0,
             memo_row: 0,
             memo_tag: 0,
-        }
+        };
+        b.clear();
+        b
     }
 
     /// The line size (bytes) one row covers.
@@ -291,6 +298,7 @@ impl Btb1 {
         self.entries[base + way] = Some(entry);
         self.keys[base + way] = want;
         lru_touch(&mut self.lru[base..base + self.ways], way);
+        self.touched.mark(row);
         InstallOutcome::Installed { victim }
     }
 
@@ -401,13 +409,38 @@ impl Btb1 {
         };
         self.keys[base + way] = want;
         self.entries[base + way] = Some(src);
+        self.touched.mark(base / self.ways);
         true
     }
 
-    /// Clears all entries (context scrub in some experiments).
+    /// Returns the table to its power-on state in the storage it
+    /// already owns, the way a hardware array is reset by clearing its
+    /// valid bits: in every row installed into since the last power-on,
+    /// only the slots holding a valid key are cleared and the LRU ranks
+    /// go back to the fresh order; the line memo goes cold. A row no
+    /// install reached still holds its power-on image, so a reset after
+    /// a short stream writes a few rows, not the table.
     pub fn clear(&mut self) {
-        self.keys.fill(0);
-        self.entries.fill(None);
+        let ways = self.ways;
+        for row in self.touched.drain() {
+            let base = row * ways;
+            let keys = &mut self.keys[base..base + ways];
+            let entries = &mut self.entries[base..base + ways];
+            for (k, e) in keys.iter_mut().zip(entries) {
+                if *k != 0 {
+                    *k = 0;
+                    *e = None;
+                }
+            }
+            for (rank, fresh) in self.lru[base..base + ways].iter_mut().zip(lru_fresh_ranks(ways)) {
+                *rank = fresh;
+            }
+        }
+        // No line is all-ones (lines are `line_bytes`-aligned), so the
+        // memo is provably cold.
+        self.memo_line = u64::MAX;
+        self.memo_row = 0;
+        self.memo_tag = 0;
     }
 }
 
@@ -542,12 +575,25 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_everything() {
+    fn clear_restores_the_power_on_image() {
         let mut b = btb();
-        b.install(entry(0x1004, 0x2000));
+        // Fill one row past its ways (an eviction), touch LRU by hits,
+        // and empty another row again by removal.
+        for k in 0..10u64 {
+            b.install(entry(0x1000 + k * 2, k));
+        }
+        let _ = b.lookup(InstrAddr::new(0x1004));
+        b.install(entry(0x8004, 1));
+        b.remove(InstrAddr::new(0x8004));
         b.clear();
         assert_eq!(b.occupancy(), 0);
         assert!(b.lookup(InstrAddr::new(0x1004)).is_none());
+        b.clear();
+        assert_eq!(
+            format!("{b:?}"),
+            format!("{:?}", btb()),
+            "cleared table differs from a new one"
+        );
     }
 
     #[test]

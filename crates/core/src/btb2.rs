@@ -139,11 +139,13 @@ pub struct Btb2 {
 impl Btb2 {
     /// Builds an empty BTB2. `line_bytes` is the BTB1 line granularity
     /// (entries keep their BTB1-format tags/offsets on transfer). No
-    /// row storage is allocated until the first fill.
+    /// row storage is allocated until the first fill; the page table
+    /// and counters get their power-on state from
+    /// [`power_on`](Self::power_on).
     pub fn new(cfg: &Btb2Config, line_bytes: u64) -> Self {
         assert!(line_bytes.is_power_of_two(), "line granularity must be a power of two");
-        Btb2 {
-            pages: vec![None; cfg.rows.div_ceil(PAGE_ROWS)],
+        let mut b = Btb2 {
+            pages: Vec::with_capacity(cfg.rows.div_ceil(PAGE_ROWS)),
             nrows: cfg.rows,
             cfg: cfg.clone(),
             line_bytes,
@@ -154,7 +156,24 @@ impl Btb2 {
             completion_tick: 0,
             refresh_counter: 0,
             stats: Btb2Stats::default(),
-        }
+        };
+        b.power_on();
+        b
+    }
+
+    /// Returns the BTB2 to its power-on state in place: every filled
+    /// page is released (so each row reads empty again), the staging
+    /// queue and trigger history empty, and the counters and
+    /// statistics restart from zero.
+    pub fn power_on(&mut self) {
+        self.pages.clear();
+        self.pages.resize_with(self.nrows.div_ceil(PAGE_ROWS), || None);
+        self.staging.clear();
+        self.miss_streak = 0;
+        self.burst_events.clear();
+        self.completion_tick = 0;
+        self.refresh_counter = 0;
+        self.stats = Btb2Stats::default();
     }
 
     /// The inclusion policy in force.

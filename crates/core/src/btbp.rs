@@ -45,13 +45,22 @@ impl Btbp {
     /// Builds an empty BTBP. `line_bytes` and `tag_bits` match the BTB1
     /// geometry so slot matching uses the same tag/offset scheme.
     pub fn new(cfg: &BtbpConfig, line_bytes: u64, tag_bits: u32) -> Self {
-        Btbp {
+        let mut b = Btbp {
             entries: VecDeque::with_capacity(cfg.entries),
             capacity: cfg.entries,
             line_bytes,
             tag_bits,
             stats: BtbpStats::default(),
-        }
+        };
+        b.power_on();
+        b
+    }
+
+    /// Returns the buffer to its power-on state in place: empty, with
+    /// its storage kept, and zeroed statistics.
+    pub fn power_on(&mut self) {
+        self.entries.clear();
+        self.stats = BtbpStats::default();
     }
 
     /// Current occupancy.

@@ -132,6 +132,8 @@ pub struct CpredStats {
 #[derive(Debug, Clone)]
 pub struct Cpred {
     entries: Vec<Option<Entry>>,
+    /// Entry count (`entries` is refilled to it at power-on).
+    slots: usize,
     tag_bits: u32,
     with_skoot: bool,
     /// Statistics.
@@ -141,12 +143,23 @@ pub struct Cpred {
 impl Cpred {
     /// Builds an empty CPRED.
     pub fn new(cfg: &CpredConfig) -> Self {
-        Cpred {
-            entries: vec![None; cfg.entries],
+        let mut c = Cpred {
+            entries: Vec::with_capacity(cfg.entries),
+            slots: cfg.entries,
             tag_bits: cfg.tag_bits,
             with_skoot: cfg.with_skoot,
             stats: CpredStats::default(),
-        }
+        };
+        c.power_on();
+        c
+    }
+
+    /// Returns the CPRED to its power-on state in the storage it owns:
+    /// every entry invalid, zeroed statistics.
+    pub fn power_on(&mut self) {
+        self.entries.clear();
+        self.entries.resize(self.slots, None);
+        self.stats = CpredStats::default();
     }
 
     /// Whether the SKOOT offset participates in the redirect address.

@@ -56,13 +56,22 @@ pub struct Crs {
 impl Crs {
     /// Builds an empty CRS.
     pub fn new(cfg: &CrsConfig) -> Self {
-        Crs {
+        let mut c = Crs {
             cfg: cfg.clone(),
             predict_stack: [None; 2],
             detect_stack: [None; 2],
             amnesty_counter: 0,
             stats: CrsStats::default(),
-        }
+        };
+        c.power_on();
+        c
+    }
+
+    /// Power-on state: both stacks empty on both threads (as after
+    /// [`Crs::clear`]) and zeroed statistics.
+    pub fn power_on(&mut self) {
+        self.clear();
+        self.stats = CrsStats::default();
     }
 
     /// Whether thread `t`'s prediction stack currently holds a valid

@@ -39,6 +39,8 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct Ctb {
     entries: Vec<Option<Entry>>,
+    /// Entry count (`entries` is refilled to it at power-on).
+    slots: usize,
     history: usize,
     tag_bits: u32,
     /// Statistics.
@@ -48,12 +50,23 @@ pub struct Ctb {
 impl Ctb {
     /// Builds an empty CTB.
     pub fn new(cfg: &CtbConfig) -> Self {
-        Ctb {
-            entries: vec![None; cfg.entries],
+        let mut c = Ctb {
+            entries: Vec::with_capacity(cfg.entries),
+            slots: cfg.entries,
             history: cfg.history,
             tag_bits: cfg.tag_bits,
             stats: CtbStats::default(),
-        }
+        };
+        c.power_on();
+        c
+    }
+
+    /// Returns the CTB to its power-on state in the storage it owns:
+    /// every entry invalid, zeroed statistics.
+    pub fn power_on(&mut self) {
+        self.entries.clear();
+        self.entries.resize(self.slots, None);
+        self.stats = CtbStats::default();
     }
 
     /// The history depth folded into the index (9 pre-z15, 17 on z15).

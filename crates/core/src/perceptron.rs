@@ -124,13 +124,30 @@ impl Perceptron {
     /// Builds an empty perceptron table.
     pub fn new(cfg: &PerceptronConfig) -> Self {
         let slots = cfg.rows * cfg.ways;
-        Perceptron {
-            entries: vec![None; slots],
-            weights: vec![0; slots * cfg.weights],
-            selectors: vec![0; slots * cfg.weights],
+        let mut p = Perceptron {
+            entries: Vec::with_capacity(slots),
+            weights: Vec::with_capacity(slots * cfg.weights),
+            selectors: Vec::with_capacity(slots * cfg.weights),
             cfg: cfg.clone(),
             stats: PerceptronStats::default(),
-        }
+        };
+        p.power_on();
+        p
+    }
+
+    /// Returns the table to its power-on state in the storage it owns:
+    /// every entry invalid, every weight and selector zero, zeroed
+    /// statistics. [`new`](Perceptron::new) builds through this writer
+    /// too.
+    pub fn power_on(&mut self) {
+        let slots = self.cfg.rows * self.cfg.ways;
+        self.entries.clear();
+        self.entries.resize(slots, None);
+        self.weights.clear();
+        self.weights.resize(slots * self.cfg.weights, 0);
+        self.selectors.clear();
+        self.selectors.resize(slots * self.cfg.weights, 0);
+        self.stats = PerceptronStats::default();
     }
 
     /// The weight/selector stripe of `slot`.

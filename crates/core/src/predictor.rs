@@ -98,6 +98,7 @@ struct ThreadCtx {
 }
 
 impl ThreadCtx {
+    /// The power-on state; allocates nothing.
     fn new(gpv_depth: usize) -> Self {
         ThreadCtx {
             spec_gpv: Gpv::new(gpv_depth),
@@ -112,6 +113,13 @@ impl ThreadCtx {
             stream_reset_pending: true,
             last_completed_taken: None,
         }
+    }
+
+    /// Back to [`ThreadCtx::new`]'s state, keeping the GPQ's storage.
+    fn power_on(&mut self) {
+        let mut gpq = std::mem::take(&mut self.gpq);
+        gpq.clear();
+        *self = ThreadCtx { gpq, ..ThreadCtx::new(self.spec_gpv.depth()) };
     }
 }
 
@@ -335,17 +343,60 @@ impl ZPredictor {
     /// history can never leak into the next (the probe and telemetry
     /// handles are discarded too — reinstall per session).
     ///
-    /// Recycling costs exactly one construction plus dropping the old
-    /// tables. That is cheap because the largest table, the BTB2,
-    /// allocates its row pages on first fill: a fresh z15 predictor
-    /// writes the BTB1, PHT and small tables but none of the BTB2's
-    /// 128K empty slots, and the drop frees only the pages the last
-    /// stream touched. On a 2-vCPU x86-64 KVM guest a z15 reset after
-    /// a short stream takes about 40 µs. A serving shard resets only
-    /// after it has answered the close, so the session does not wait on
-    /// it; the next command on that shard may.
+    /// The reset writes power-on state into the memory each structure
+    /// already owns, through one writer per structure
+    /// ([`Btb1::clear`], `power_on` on every other one), the same
+    /// writer each structure's constructor ends with, so a reset
+    /// predictor and a fresh one cannot drift apart. As a hardware
+    /// array is reset by clearing valid bits, the BTB1 clears only the
+    /// valid slots of the rows installed into since power-on and the
+    /// PHT only the slots it wrote; the BTB2 frees the row pages the
+    /// last stream filled; the perceptron, CTB and CPRED are refilled
+    /// in place; the GPQs keep their capacity. Nothing is allocated, and
+    /// a z15 reset after a short stream costs a few µs where building a
+    /// new predictor costs about 30 (PERFORMANCE.md, "Recycling a
+    /// predictor in place").
     pub fn reset(&mut self) {
-        *self = ZPredictor::new(self.cfg.clone());
+        // Destructured so that a new field cannot be left out.
+        let ZPredictor {
+            cfg: _,
+            btb1,
+            btb2,
+            btbp,
+            pht,
+            sbht,
+            spht,
+            perceptron,
+            ctb,
+            crs,
+            cpred,
+            seq,
+            threads,
+            probe,
+            tel,
+            #[cfg(feature = "verify")]
+            inv,
+            stats,
+        } = self;
+        btb1.clear();
+        btb2.iter_mut().for_each(Btb2::power_on);
+        btbp.iter_mut().for_each(Btbp::power_on);
+        pht.power_on();
+        sbht.power_on();
+        spht.power_on();
+        perceptron.iter_mut().for_each(Perceptron::power_on);
+        ctb.iter_mut().for_each(Ctb::power_on);
+        crs.iter_mut().for_each(Crs::power_on);
+        cpred.iter_mut().for_each(Cpred::power_on);
+        *seq = 0;
+        threads.iter_mut().for_each(ThreadCtx::power_on);
+        *probe = None;
+        *tel = Telemetry::disabled();
+        #[cfg(feature = "verify")]
+        {
+            *inv = InvariantMonitor::new();
+        }
+        *stats = ZStats::new();
     }
 
     /// Captures a deep, self-contained copy of the predictor's

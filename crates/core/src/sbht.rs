@@ -50,7 +50,17 @@ impl SpecOverride {
     /// Creates an override structure with `capacity` entries (0 yields a
     /// permanently-empty, disabled structure).
     pub fn new(capacity: usize) -> Self {
-        SpecOverride { entries: VecDeque::new(), capacity, stats: SpecStats::default() }
+        let mut s =
+            SpecOverride { entries: VecDeque::new(), capacity, stats: SpecStats::default() };
+        s.power_on();
+        s
+    }
+
+    /// Returns the structure to its power-on state in place: no
+    /// overrides, zeroed statistics.
+    pub fn power_on(&mut self) {
+        self.entries.clear();
+        self.stats = SpecStats::default();
     }
 
     /// Whether the structure can hold entries.

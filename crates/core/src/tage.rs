@@ -38,7 +38,7 @@
 
 use crate::config::{DirectionConfig, PhtKind};
 use crate::gpv::Gpv;
-use crate::util::{SatCounter, TwoBit};
+use crate::util::{SatCounter, Touched, TwoBit};
 use zbp_zarch::{Direction, InstrAddr};
 
 /// Which TAGE table an entry/hit belongs to.
@@ -131,6 +131,9 @@ enum Kind {
 struct Table {
     entries: Vec<Option<PhtEntry>>,
     rows: usize,
+    /// Slots written since the last power-on; every write goes through
+    /// [`Table::get_mut`], which marks its slot.
+    touched: Touched,
 }
 
 /// PHT statistics.
@@ -151,8 +154,18 @@ pub struct PhtStats {
 }
 
 impl Table {
+    /// `rows × ways` invalid entries, none written yet.
     fn new(rows: usize, ways: usize) -> Self {
-        Table { entries: vec![None; rows * ways], rows }
+        let slots = rows * ways;
+        Table { entries: vec![None; slots], rows, touched: Touched::new(slots) }
+    }
+
+    /// Every entry invalid again: only the slots written since the last
+    /// power-on are cleared, in place.
+    fn power_on(&mut self) {
+        for slot in self.touched.drain() {
+            self.entries[slot] = None;
+        }
     }
 
     fn get(&self, way: usize, row: usize) -> Option<&PhtEntry> {
@@ -160,7 +173,9 @@ impl Table {
     }
 
     fn get_mut(&mut self, way: usize, row: usize) -> &mut Option<PhtEntry> {
-        &mut self.entries[way * self.rows + row]
+        let slot = way * self.rows + row;
+        self.touched.mark(slot);
+        &mut self.entries[slot]
     }
 
     fn occupancy(&self) -> usize {
@@ -184,15 +199,35 @@ impl Pht {
                 long_history: *long_history,
             },
         };
-        Pht {
+        let mut pht = Pht {
             kind,
             tag_bits: cfg.pht_tag_bits,
             usefulness_max: cfg.usefulness_max,
-            weak_ok: SatCounter::at(cfg.weak_filter_threshold, cfg.weak_counter_max),
+            weak_ok: SatCounter::new(cfg.weak_counter_max),
             weak_threshold: cfg.weak_filter_threshold,
             alloc_tick: 0,
             stats: PhtStats::default(),
+        };
+        pht.power_on();
+        pht
+    }
+
+    /// Returns the PHT to its power-on state in the storage it owns:
+    /// every entry invalid, the weak-confidence counter back at the
+    /// filter threshold, the allocation tick and statistics at zero.
+    /// [`new`](Pht::new) builds through this writer too.
+    pub fn power_on(&mut self) {
+        match &mut self.kind {
+            Kind::None => {}
+            Kind::Single { table, .. } => table.power_on(),
+            Kind::Tage { short, long, .. } => {
+                short.power_on();
+                long.power_on();
+            }
         }
+        self.weak_ok = SatCounter::at(self.weak_threshold, self.weak_ok.max());
+        self.alloc_tick = 0;
+        self.stats = PhtStats::default();
     }
 
     /// Whether any PHT exists.

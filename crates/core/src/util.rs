@@ -229,6 +229,43 @@ pub fn lru_fresh_ranks(ways: usize) -> impl Iterator<Item = u8> {
     (0..ways).map(move |w| (ways - 1 - w) as u8)
 }
 
+/// The rows (or slots) of a table written since its last power-on, one
+/// bit each. A table's power-on writer revisits only these, so a reset
+/// after a short stream costs what the stream touched, not what the
+/// table holds. Marking is conservative: a marked index may have been
+/// written back to its power-on value since.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Touched {
+    words: Vec<u64>,
+}
+
+impl Touched {
+    /// `len` indices, none marked.
+    pub(crate) fn new(len: usize) -> Self {
+        Touched { words: vec![0; len.div_ceil(64)] }
+    }
+
+    /// Marks index `i` as written.
+    #[inline]
+    pub(crate) fn mark(&mut self, i: usize) {
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w |= 1 << (i % 64);
+        }
+    }
+
+    /// The marked indices in ascending order, unmarking each.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter_mut().enumerate().flat_map(|(w, word)| {
+            let mut bits = std::mem::take(word);
+            std::iter::from_fn(move || {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then_some(w * 64 + bit)
+            })
+        })
+    }
+}
+
 /// Per-row true-LRU tracking for a set-associative structure.
 ///
 /// `ranks[w]` is the age of way `w`: 0 = most recently used.
@@ -429,5 +466,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn touched_drains_marked_indices_once_in_order() {
+        let mut t = Touched::new(130);
+        assert_eq!(t.drain().count(), 0);
+        for i in [129, 3, 64, 3, 0] {
+            t.mark(i);
+        }
+        assert_eq!(t.drain().collect::<Vec<_>>(), [0, 3, 64, 129]);
+        assert_eq!(t.drain().count(), 0, "a drain unmarks");
+        assert_eq!(t, Touched { words: vec![0; 3] });
     }
 }

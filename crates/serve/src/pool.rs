@@ -20,12 +20,12 @@
 //! report and wakes the mux, and only then records the completed
 //! session and recycles the predictor. A migration export likewise
 //! sends the image before recycling the emptied predictor. Recycling is
-//! one `ZPredictor::new` over the predictor's configuration, about
-//! 40 µs for a z15 on a 2-vCPU x86-64 KVM guest, so it runs off the
-//! session's blocking path. It still runs on the worker and finishes
-//! before the worker takes its next command, so the next open on the
-//! shard always gets a power-on predictor; a client that turns around
-//! faster than the reset waits out the rest of it.
+//! an in-place [`ZPredictor::reset`], which rewrites only what the last
+//! stream touched: a few µs for a z15 after a short stream on a 2-vCPU
+//! x86-64 KVM guest, where building a new predictor takes about 30. It
+//! runs on the worker and finishes before the worker takes its next
+//! command, so the next open on the shard always gets a power-on
+//! predictor.
 //!
 //! A worker wakes the server's multiplexer thread (when one registered
 //! itself) right after answering each feed or close, so a reply never
@@ -187,7 +187,8 @@ pub struct CompletedSession {
 /// The serving layer's one timing constant. The server's mux and every
 /// shard worker spin (`yield_now`) for this long after their last
 /// progress before they wait; the mux then parks for at most this long,
-/// and a worker blocks on its queue.
+/// and a worker blocks on its queue. The server's acceptor waits this
+/// long after a failed `accept` before it tries again.
 pub(crate) const IDLE_SLEEP: Duration = Duration::from_micros(100);
 
 /// Completed sessions a pool keeps for its [`PoolSummary`]: the ones
@@ -964,5 +965,31 @@ mod tests {
             assert_eq!(report, want[k], "session {i}");
         }
         assert_eq!(pool.shutdown().completed, SESSIONS);
+    }
+
+    #[test]
+    fn a_recycled_predictor_holds_exactly_the_state_of_a_new_one() {
+        // One shard: the second open takes the predictor the first
+        // session's close reset. Exporting that unfed session images
+        // it, table by table, next to a session on a new predictor.
+        let pool = ShardPool::new(PoolConfig { shards: 1, ..PoolConfig::default() });
+        let cfg = zbp_core::GenerationPreset::Z15.config();
+        let warm = workloads::lspr_like(5, 20_000).dynamic_trace();
+        let opened = pool.open(warm.label(), &cfg, ReplayMode::default(), false).expect("open");
+        pool.feed(opened.id, warm.as_slice().to_vec()).expect("feed");
+        pool.close(opened.id, warm.tail_instrs()).expect("close");
+
+        let next = pool.open("next", &cfg, ReplayMode::default(), false).expect("open");
+        let image = {
+            let shards = pool.shards.read().expect("shards");
+            export_session(&shards[0], next.id).expect("export")
+        };
+        let fresh = Session::options(&cfg).open("next").snapshot().expect("image");
+        // Megabytes of text each, so no `assert_eq!`.
+        assert!(
+            format!("{image:?}") == format!("{fresh:?}"),
+            "the recycled predictor's state differs from a new one's"
+        );
+        pool.shutdown();
     }
 }

@@ -482,17 +482,26 @@ impl Frame {
         buf: &mut Vec<u8>,
     ) -> Result<(), ProtoError> {
         buf.clear();
-        buf.extend_from_slice(&[0; 4]);
-        encode(self, buf);
-        let len = buf.len() - 4;
+        let len = self.append_to(buf);
         if len > MAX_FRAME {
             return Err(ProtoError::FrameTooLarge(len));
         }
-        if let Some(prefix) = buf.first_chunk_mut::<4>() {
-            *prefix = (len as u32).to_le_bytes();
-        }
         w.write_all(buf)?;
         Ok(())
+    }
+
+    /// Appends the frame, length prefix first, to `out` without an
+    /// intermediate buffer, and returns the payload length. The caller
+    /// checks it against [`MAX_FRAME`].
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) -> usize {
+        let at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        encode(self, out);
+        let len = out.len() - at - 4;
+        if let Some(prefix) = out.get_mut(at..at + 4) {
+            prefix.copy_from_slice(&(len as u32).to_le_bytes());
+        }
+        len
     }
 
     /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean

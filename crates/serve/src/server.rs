@@ -2,11 +2,17 @@
 //! multiplexer thread over non-blocking sockets, so thousands of idle
 //! connections cost buffers, not threads.
 //!
+//! Connections are accepted on their own thread, which blocks in
+//! `accept`, makes each new socket non-blocking with `TCP_NODELAY`,
+//! hands it to the mux over a bounded channel and unparks the mux. The
+//! mux never calls `accept` itself, so a sweep makes no syscall for a
+//! listener that has nothing ready.
+//!
 //! Every connection is a small state machine — a read reassembly
 //! buffer, a pending-reply queue, and a write buffer — swept by one
 //! event loop:
 //!
-//! 1. accept every connection the listener has ready;
+//! 1. take the connections the acceptor has handed over;
 //! 2. per connection, read whatever the socket has, decode complete
 //!    frames, and translate each into a **non-blocking** pool enqueue
 //!    ([`ShardPool::feed_async`] and friends) whose confirmation
@@ -16,16 +22,18 @@
 //! 4. flush write buffers as far as the sockets accept.
 //!
 //! The loop is event-driven where std allows it. Sockets are polled,
-//! but shard replies are not waited for on a timer: a worker unparks
-//! the mux right after answering a feed or close (and when a killed
-//! shard abandons its queue). A sweep that moved nothing yields and
+//! but neither new connections nor shard replies are waited for on a
+//! timer: the acceptor unparks the mux after each hand-over, and a
+//! worker unparks it right after answering a feed or close (and when a
+//! killed shard abandons its queue). A sweep that moved nothing yields and
 //! sweeps again while the last progress is under [`IDLE_SLEEP`] old, so
 //! a closed-loop client's next frame is picked up within microseconds;
 //! after that the mux parks for at most [`IDLE_SLEEP`], so an idle
 //! server still wakes every 100 µs and no more often. [`IDLE_SLEEP`] is
 //! the serving layer's one timing constant, shared with the shard
 //! workers, which spin for the same window before blocking on their
-//! queues.
+//! queues, and with the acceptor, which waits that long after a failed
+//! `accept`.
 //!
 //! Memory per connection is bounded. A sweep stops reading once the
 //! read buffer holds more than one largest frame ([`MAX_FRAME`] plus
@@ -50,11 +58,11 @@ use crate::proto::{close_ok, Frame, ProtoError, MAX_FRAME, PROTO_VERSION};
 use crate::session::SessionReport;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 /// A running prediction service bound to a TCP address.
@@ -63,6 +71,7 @@ pub struct Server {
     pool: Arc<ShardPool>,
     stop: Arc<AtomicBool>,
     mux: JoinHandle<()>,
+    acceptor: JoinHandle<()>,
 }
 
 impl std::fmt::Debug for Server {
@@ -76,26 +85,36 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// multiplexer over a fresh pool.
+    /// acceptor and the multiplexer over a fresh pool.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn bind(addr: &str, cfg: PoolConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let pool = Arc::new(ShardPool::new(cfg));
         let stop = Arc::new(AtomicBool::new(false));
+        // One slot: a burst of connections waits in the listen backlog
+        // until the mux has taken the one before.
+        let (handoff, incoming) = sync_channel(1);
         let mux = {
             let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("zbp-serve-mux".into())
-                .spawn(move || mux_loop(listener, &pool, &stop))
+                .spawn(move || mux_loop(&incoming, &pool, &stop))
                 .expect("spawn multiplexer")
         };
-        Ok(Server { addr, pool, stop, mux })
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            let mux = mux.thread().clone();
+            std::thread::Builder::new()
+                .name("zbp-serve-accept".into())
+                .spawn(move || accept_loop(&listener, &handoff, &mux, &stop))
+                .expect("spawn acceptor")
+        };
+        Ok(Server { addr, pool, stop, mux, acceptor })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -111,12 +130,26 @@ impl Server {
     }
 
     /// Graceful shutdown: stops the multiplexer (orphaned streams are
-    /// finalized with a zero tail), drains the pool and returns the
-    /// summary.
+    /// finalized with a zero tail) and the acceptor, drains the pool and
+    /// returns the summary.
     pub fn shutdown(self) -> PoolSummary {
         self.stop.store(true, Ordering::SeqCst);
         self.mux.thread().unpark();
         let _ = self.mux.join();
+        // The acceptor is blocked in `accept`: one connection of our own
+        // wakes it to see `stop`. If that connection fails while the
+        // acceptor still runs, it could not be woken, so it is left to
+        // exit at the next connection instead of being waited for.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        if TcpStream::connect(wake).is_ok() || self.acceptor.is_finished() {
+            let _ = self.acceptor.join();
+        }
         match Arc::try_unwrap(self.pool) {
             Ok(pool) => pool.shutdown(),
             // Should be unreachable once the multiplexer has joined;
@@ -185,9 +218,8 @@ impl Conn {
     }
 
     fn queue_frame(&mut self, frame: &Frame) {
-        let payload = frame.encode();
-        self.wbuf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(&payload);
+        let len = frame.append_to(&mut self.wbuf);
+        debug_assert!(len <= MAX_FRAME, "encoded reply exceeds MAX_FRAME");
     }
 
     /// More than a frame's worth of replies is waiting for the client
@@ -197,7 +229,40 @@ impl Conn {
     }
 }
 
-fn mux_loop(listener: TcpListener, pool: &ShardPool, stop: &AtomicBool) {
+/// Blocks in `accept` and hands each new connection, already
+/// non-blocking with `TCP_NODELAY`, to the mux. Returns once `stop` is
+/// set (seen at the next accepted connection) or the mux has gone.
+fn accept_loop(
+    listener: &TcpListener,
+    handoff: &SyncSender<TcpStream>,
+    mux: &Thread,
+    stop: &AtomicBool,
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => {
+                // A socket the mux could block on is not served.
+                if stream.set_nonblocking(true).is_err() {
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                if handoff.send(stream).is_err() {
+                    return;
+                }
+                mux.unpark();
+            }
+            // A failed accept (out of descriptors, say) is retried after
+            // one idle period instead of in a spin.
+            Err(_) => std::thread::sleep(IDLE_SLEEP),
+        }
+    }
+}
+
+fn mux_loop(incoming: &Receiver<TcpStream>, pool: &ShardPool, stop: &AtomicBool) {
     pool.set_waker(std::thread::current());
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -205,18 +270,10 @@ fn mux_loop(listener: TcpListener, pool: &ShardPool, stop: &AtomicBool) {
     let mut idle_since: Option<Instant> = None;
     while !stop.load(Ordering::SeqCst) {
         let mut progressed = false;
-        // 1. Accept everything that is ready.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let _ = stream.set_nodelay(true);
-                    conns.push(Conn::new(stream));
-                    progressed = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
+        // 1. Take the connections the acceptor has handed over.
+        while let Ok(stream) = incoming.try_recv() {
+            conns.push(Conn::new(stream));
+            progressed = true;
         }
         // 2.–4. Sweep every connection.
         for conn in &mut conns {

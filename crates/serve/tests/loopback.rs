@@ -1,10 +1,12 @@
 //! TCP loopback integration tests: the full open → feed → close round
-//! trip, frame-limit enforcement, deterministic `Busy` backpressure, and
-//! the per-connection reply-buffer bound.
+//! trip, frame-limit enforcement, deterministic `Busy` backpressure, the
+//! per-connection reply-buffer bound, and the server's lifecycle
+//! (accepting many connections, waking a parked mux, shutting down).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 use zbp_core::GenerationPreset;
 use zbp_serve::{
     Client, Frame, PoolConfig, ReplayMode, Server, Session, StreamId, WireMode, MAX_FRAME,
@@ -15,6 +17,24 @@ use zbp_trace::workloads;
 fn test_server(shards: usize, queue_depth: usize) -> Server {
     Server::bind("127.0.0.1:0", PoolConfig { shards, queue_depth, ..PoolConfig::default() })
         .expect("bind loopback server")
+}
+
+/// The server's idle park: how long a mux that has seen nothing for a
+/// while sleeps before it sweeps again.
+const IDLE_SLEEP: Duration = Duration::from_micros(100);
+
+/// Opens one stream on `client` and returns its id.
+fn open_stream(client: &mut Client, label: &str) -> u64 {
+    let open = Frame::Open {
+        preset: GenerationPreset::Z15.into(),
+        mode: WireMode::default(),
+        traced: false,
+        label: label.into(),
+    };
+    match client.call(&open).expect("open") {
+        Frame::OpenOk { id, .. } => id,
+        other => panic!("expected OpenOk, got {other:?}"),
+    }
 }
 
 #[test]
@@ -240,4 +260,63 @@ fn a_client_that_never_reads_its_replies_is_stalled() {
     assert!(stalled, "the server took {sent} bytes of requests whose replies were never read");
     drop(raw);
     server.shutdown();
+}
+
+#[test]
+fn sequential_connections_are_all_served() {
+    const CYCLES: u64 = 64;
+    let server = test_server(1, 8);
+    for i in 0..CYCLES {
+        // `connect` completes the handshake; the connection then drops
+        // with its stream still open.
+        let mut client = Client::connect(server.local_addr()).expect("connect and handshake");
+        assert_eq!(open_stream(&mut client, &format!("cycle-{i}")), i);
+    }
+    let summary = server.shutdown();
+    assert_eq!(summary.completed, CYCLES, "every dropped connection's stream was finalized");
+}
+
+#[test]
+fn a_connection_to_a_parked_mux_is_answered_without_waiting_out_its_park() {
+    let server = test_server(1, 8);
+    // A single handshake's latency is at the mercy of the scheduler,
+    // and the other tests in this binary load the machine while they
+    // run, so the test keeps trying until one handshake beats a park.
+    // A server that only saw new connections when its park ran out
+    // would make them all wait, on average, half a park.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut tries = 0;
+    let fastest = loop {
+        // Long enough for the mux to stop spinning and park.
+        std::thread::sleep(Duration::from_millis(5));
+        let t = Instant::now();
+        let client = Client::connect(server.local_addr()).expect("connect and handshake");
+        let took = t.elapsed();
+        drop(client);
+        tries += 1;
+        if took < IDLE_SLEEP || Instant::now() > deadline {
+            break took;
+        }
+    };
+    assert!(fastest < IDLE_SLEEP, "no handshake to a parked mux beat one park in {tries} tries");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_returns_promptly_with_the_acceptor_blocked_in_accept() {
+    let server = test_server(2, 8);
+    // Let the acceptor reach its blocking `accept`.
+    std::thread::sleep(Duration::from_millis(20));
+    let (done, finished) = mpsc::channel();
+    let shutting = std::thread::spawn(move || {
+        let t = Instant::now();
+        let summary = server.shutdown();
+        let _ = done.send(t.elapsed());
+        summary
+    });
+    // `shutdown` joins the mux and the acceptor, so returning at all
+    // proves that neither thread is left behind.
+    let took = finished.recv_timeout(Duration::from_secs(10)).expect("shutdown hung");
+    assert_eq!(shutting.join().expect("shutdown thread").completed, 0);
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
 }

@@ -1,10 +1,11 @@
 //! Recycling parity for the lazily paged BTB2: a predictor that served
 //! one stream (and so allocated BTB2 pages) and was recycled through
-//! `ZPredictor::reset` must serve the next stream exactly like a fresh
-//! one, and a session imaged mid-stream with a partly filled BTB2 must
-//! continue byte-identically after resume.
+//! `ZPredictor::reset` must hold exactly the state of a new one and
+//! serve the next stream exactly like it, and a session imaged
+//! mid-stream with a partly filled BTB2 must continue byte-identically
+//! after resume.
 
-use zbp::core::{GenerationPreset, PredictorConfig};
+use zbp::core::{GenerationPreset, PredictorConfig, ZPredictor};
 use zbp::model::{BranchRecord, DynamicTrace};
 use zbp::serve::{PoolConfig, ReplayMode, Session, SessionReport, ShardPool};
 use zbp::trace::workloads;
@@ -36,14 +37,48 @@ fn jump_chain(n: u64) -> Vec<BranchRecord> {
         .collect()
 }
 
-/// Valid BTB2 entries left in the predictor after `trace` runs to
-/// completion in process.
-fn btb2_occupancy_after(cfg: &PredictorConfig, trace: &DynamicTrace) -> usize {
+/// The predictor left after `trace` runs to completion in process.
+fn predictor_after(cfg: &PredictorConfig, trace: &DynamicTrace) -> ZPredictor {
     let mut s = Session::options(cfg).open(trace.label());
     s.feed(trace.as_slice());
     let (_, pred) = s.finish_into(trace.tail_instrs());
-    let pred = pred.expect("delayed-mode sessions hand their predictor back");
-    pred.structures().btb2.map_or(0, |b| b.occupancy())
+    pred.expect("delayed-mode sessions hand their predictor back")
+}
+
+/// Valid BTB2 entries left in the predictor after `trace` runs to
+/// completion in process.
+fn btb2_occupancy_after(cfg: &PredictorConfig, trace: &DynamicTrace) -> usize {
+    predictor_after(cfg, trace).structures().btb2.map_or(0, |b| b.occupancy())
+}
+
+/// The second stream's own branches, then a jump chain that pushes them
+/// out of the BTB1 into the BTB2, so recycling has every table to clear.
+fn warm_then_next() -> (DynamicTrace, DynamicTrace) {
+    let next = workloads::lspr_like(5, INSTRS / 2).dynamic_trace();
+    let warm = DynamicTrace::from_records(
+        "warm",
+        [next.as_slice().to_vec(), jump_chain(INSTRS / 2)].concat(),
+    );
+    (warm, next)
+}
+
+#[test]
+fn reset_leaves_exactly_the_state_of_a_new_predictor_for_every_preset() {
+    let (warm, _) = warm_then_next();
+    for preset in GenerationPreset::ALL {
+        let cfg = preset.config();
+        let mut recycled = predictor_after(&cfg, &warm);
+        assert!(
+            recycled.structures().btb2.is_some_and(|b| b.occupancy() > 0),
+            "{preset}: the warm-up stream must allocate BTB2 pages"
+        );
+        recycled.reset();
+        // The image's `Debug` form spells out every table, history,
+        // counter and statistic (megabytes of text, so no `assert_eq!`).
+        let recycled = format!("{:?}", recycled.snapshot());
+        let fresh = format!("{:?}", ZPredictor::new(cfg).snapshot());
+        assert!(recycled == fresh, "{preset}: a reset predictor's state differs from a new one's");
+    }
 }
 
 /// Serves `trace` start to finish through `pool` in 1024-record feeds.
@@ -57,14 +92,8 @@ fn serve(pool: &ShardPool, cfg: &PredictorConfig, trace: &DynamicTrace) -> Sessi
 
 #[test]
 fn recycled_predictor_serves_like_a_fresh_one_for_every_preset() {
-    // The warm-up stream runs the second stream's own branches, then a
-    // jump chain that pushes them out of the BTB1 into the BTB2: a
-    // BTB2 that survived recycling would hit on the second stream.
-    let next = workloads::lspr_like(5, INSTRS / 2).dynamic_trace();
-    let warm = DynamicTrace::from_records(
-        "warm",
-        [next.as_slice().to_vec(), jump_chain(INSTRS / 2)].concat(),
-    );
+    // A BTB2 that survived recycling would hit on the second stream.
+    let (warm, next) = warm_then_next();
     for preset in GenerationPreset::ALL {
         let cfg = preset.config();
         assert!(
