@@ -13,15 +13,13 @@ use crate::lexer::Tok;
 use crate::lints::{FileLex, RawFinding};
 use crate::symbols::SymbolTable;
 
-/// A reachability root: a function (or `"*"` for every function) in
-/// one file. Named roots close over the whole crate; `"*"` roots stay
-/// within their file (the kernel's fast path is self-contained, and
-/// crate-wide closure from `core` would drag in config parsing).
+/// A reachability root: a named function in one file. Its closure
+/// covers every same-crate function it may call.
 #[derive(Debug, Clone)]
 pub struct Root {
     /// Workspace-relative path of the root file.
     pub file: String,
-    /// Function name, or `"*"` for all functions in the file.
+    /// Function name.
     pub func: String,
 }
 
@@ -97,8 +95,8 @@ impl CallGraph {
     }
 
     /// Functions reachable from `roots`, mapped to the label of the
-    /// first root that reaches them. Named roots traverse the whole
-    /// crate; `"*"` roots stay inside the root file.
+    /// first root that reaches them. Each root traverses its whole
+    /// crate.
     pub fn reachable(
         &self,
         files: &[FileLex],
@@ -110,17 +108,12 @@ impl CallGraph {
             let Some(fi) = files.iter().position(|f| f.rel == root.file) else {
                 continue; // root not in this scan (e.g. fixture tree)
             };
-            let whole_file = root.func == "*";
-            let label = if whole_file {
-                format!("{}::*", root.file)
-            } else {
-                format!("`{}` ({})", root.func, root.file)
-            };
+            let label = format!("`{}` ({})", root.func, root.file);
             let seeds: Vec<usize> = symbols
                 .fns
                 .iter()
                 .enumerate()
-                .filter(|(_, f)| f.file == fi && (whole_file || f.name == root.func))
+                .filter(|(_, f)| f.file == fi && f.name == root.func)
                 .map(|(id, _)| id)
                 .collect();
             let mut queue: VecDeque<usize> = seeds.into_iter().collect();
@@ -130,10 +123,8 @@ impl CallGraph {
                 }
                 out.insert(id, label.clone());
                 for &callee in &self.calls[id] {
-                    let cf = &symbols.fns[callee];
-                    let in_scope =
-                        if whole_file { cf.file == fi } else { cf.krate == symbols.fns[id].krate };
-                    if in_scope && !out.contains_key(&callee) {
+                    let in_crate = symbols.fns[callee].krate == symbols.fns[id].krate;
+                    if in_crate && !out.contains_key(&callee) {
                         queue.push_back(callee);
                     }
                 }
@@ -352,19 +343,6 @@ mod tests {
         assert!(names.contains(&"root".to_string()));
         assert!(names.contains(&"deep".to_string()));
         assert!(!names.contains(&"unused".to_string()));
-    }
-
-    #[test]
-    fn star_root_stays_in_its_file() {
-        let files = vec![
-            file("crates/a/src/fast.rs", "fn hot() { warm(); other(); }\nfn warm() {}"),
-            file("crates/a/src/slow.rs", "fn other() {}"),
-        ];
-        let names =
-            reach_of(&files, &[Root { file: "crates/a/src/fast.rs".into(), func: "*".into() }]);
-        assert!(names.contains(&"hot".to_string()));
-        assert!(names.contains(&"warm".to_string()));
-        assert!(!names.contains(&"other".to_string()));
     }
 
     #[test]

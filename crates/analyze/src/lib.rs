@@ -19,7 +19,7 @@
 //! | `float-accum` | no `f32`/`f64` fields or `+=` in merged statistics |
 //! | `deprecated-expiry` | every `#[deprecated]` names `remove-by: PR-N` and fails once expired |
 //! | `unbounded-channel` | all inter-thread queues in ShardPool paths are bounded |
-//! | `panic-path` | no `unwrap`/`expect`/panicking macro/indexing/unchecked div reachable from the mux loop, shard workers, or replay kernel |
+//! | `panic-path` | no `unwrap`/`expect`/panicking macro/indexing/unchecked div reachable from the mux loop or shard workers |
 //! | `lock-order` | the `ShardPool` lock-order graph is acyclic |
 //! | `lock-held-blocking` | no guard held across a blocking call in mux/worker paths |
 //! | `schema-consistency` | every bench.json `schema: N` writer has a unique N in 1–7 and a checking reader |
@@ -71,9 +71,7 @@ pub struct Config {
     pub float_accum: Vec<String>,
     /// D5 scope: ShardPool / inter-thread queue paths.
     pub unbounded_channel: Vec<String>,
-    /// P1 reachability roots: the functions that must never panic
-    /// (`func == "*"` means every function in the file, with the
-    /// closure confined to that file).
+    /// P1 reachability roots: the functions that must never panic.
     pub panic_roots: Vec<Root>,
     /// L1/L2 scope: files whose `Mutex`/`RwLock` fields form the
     /// lock-order graph.
@@ -164,7 +162,6 @@ impl Config {
             panic_roots: vec![
                 Root { file: "crates/serve/src/server.rs".into(), func: "mux_loop".into() },
                 Root { file: "crates/serve/src/pool.rs".into(), func: "shard_worker".into() },
-                Root { file: "crates/core/src/kernel.rs".into(), func: "*".into() },
             ],
             lock_scope: vec!["crates/serve/src".into()],
             schema_file: Some("crates/bench/src/json.rs".into()),

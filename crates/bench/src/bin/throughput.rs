@@ -1,37 +1,33 @@
-//! E23 — replay throughput: the buffered fast path vs the streaming
-//! session (instrs/s per thread).
+//! E23 — replay throughput of the streaming session (instrs/s per
+//! thread).
 //!
-//! For every suite workload this binary measures, single-threaded:
-//!
-//! * **fast** — `SessionOptions::run_buffer` over the workload's cached
-//!   [`ReplayBuffer`](zbp_model::ReplayBuffer) (pre-decoded columns +
-//!   `ZPredictor`'s config-monomorphized kernel);
-//! * **generic** — `SessionOptions::run` streaming the same trace
-//!   through
-//!   the record-by-record harness.
+//! For every suite workload this binary times, single-threaded,
+//! `Session::options(&cfg).run(&trace)`: the record-by-record
+//! delayed-update loop every served session runs (`Session::feed` →
+//! `ReplayCore::step`).
 //!
 //! Wall times are best-of-`REPS`: shared CI machines jitter individual
 //! timings by 25–40%, and the minimum is the stable estimator of the
 //! achievable rate (PERFORMANCE.md §Measurement protocol). Statistics
-//! must be byte-identical between the two paths and across reps — the
-//! binary asserts this, so every timing run doubles as a parity check.
+//! must be byte-identical across reps — the binary asserts this, so
+//! every timing run doubles as a determinism check.
 //!
-//! Stdout carries only deterministic columns (workload, instrs, mpki,
-//! parity) so `run_all`'s captured results file is byte-identical run
-//! to run; the measured rates print to stderr, like simpoint's wall
-//! times.
+//! Stdout carries only deterministic columns (workload, instrs, mpki)
+//! so `run_all`'s captured results file is byte-identical run to run;
+//! the measured rates print to stderr, like simpoint's wall times.
 //!
-//! With `--json PATH`, one schema-6 [`ThroughputRecord`] per
-//! (workload, path) pair plus one suite row per path append to the
-//! JSON Lines file.
+//! With `--json PATH`, one schema-6 [`ThroughputRecord`] per workload
+//! plus one suite row append to the JSON Lines file. Every row carries
+//! `path: "generic"`, continuing the series older files recorded next
+//! to a since-deleted buffered path.
 
 use std::time::Instant;
 use zbp_bench::{append_throughput_records, BenchArgs, ThroughputRecord};
 use zbp_core::{GenerationPreset, PredictorConfig};
-use zbp_serve::{Session, SessionReport, DEFAULT_DEPTH};
+use zbp_serve::{Session, SessionReport};
 use zbp_trace::workloads;
 
-/// Timing repetitions per (workload, path); the reported wall time is
+/// Timing repetitions per workload; the reported wall time is
 /// the minimum.
 const REPS: u32 = 5;
 
@@ -67,83 +63,51 @@ fn main() {
     let args = BenchArgs::parse();
     let cfg = GenerationPreset::Z15.config();
     let hash = config_hash(&cfg);
+    let record = |workload: &str, seed: u64, instrs: u64, wall: f64, mpki: f64| ThroughputRecord {
+        experiment: "throughput".into(),
+        config: cfg.name.clone(),
+        config_hash: hash.clone(),
+        workload: workload.into(),
+        seed,
+        threads: 1,
+        path: "generic".into(),
+        reps: u64::from(REPS),
+        instrs,
+        wall_ms: wall * 1e3,
+        instrs_per_s: instrs as f64 / wall,
+        mpki,
+    };
     let mut records = Vec::new();
-    let mut suite: std::collections::BTreeMap<&str, (u64, f64, u64)> =
-        std::collections::BTreeMap::new();
+    let (mut suite_instrs, mut suite_wall, mut suite_mispredicts) = (0u64, 0.0f64, 0u64);
 
     // Stdout carries only the deterministic columns so `run_all`'s
     // captured results/throughput.txt is byte-identical run to run;
     // wall-clock rates go to stderr, like simpoint's timing lines.
     println!("E23 replay throughput — config {} ({}), best of {REPS}", cfg.name, hash);
-    println!("{:<28} {:>10} {:>8}  parity", "workload", "instrs", "mpki");
-    eprintln!("{:<28} {:>12} {:>12} {:>9}", "workload", "fast M/s", "generic M/s", "speedup");
+    println!("{:<28} {:>10} {:>8}", "workload", "instrs", "mpki");
+    eprintln!("{:<28} {:>12}", "workload", "M instrs/s");
     for w in workloads::suite(args.seed, args.instrs) {
         let trace = w.cached_trace();
-        let buf = w.cached_buffer();
-        let (fast_wall, fast_rep) =
-            best_of(|| Session::options(&cfg).depth(DEFAULT_DEPTH).run_buffer(&buf));
-        let (gen_wall, gen_rep) = best_of(|| Session::options(&cfg).run(&trace));
-        assert_eq!(
-            fast_rep.stats,
-            gen_rep.stats,
-            "fast and generic paths diverged on {}",
-            trace.label()
-        );
-        let instrs = fast_rep.stats.instructions.get();
-        let mpki = fast_rep.stats.mpki();
-        println!("{:<28} {:>10} {:>8.3}  fast==generic", trace.label(), instrs, mpki);
-        eprintln!(
-            "{:<28} {:>12.1} {:>12.1} {:>8.2}x",
-            trace.label(),
-            instrs as f64 / fast_wall / 1e6,
-            instrs as f64 / gen_wall / 1e6,
-            gen_wall / fast_wall,
-        );
-        for (path, wall) in [("fast", fast_wall), ("generic", gen_wall)] {
-            let agg = suite.entry(path).or_insert((0, 0.0, 0));
-            agg.0 += instrs;
-            agg.1 += wall;
-            agg.2 += fast_rep.stats.mispredictions();
-            records.push(ThroughputRecord {
-                experiment: "throughput".into(),
-                config: cfg.name.clone(),
-                config_hash: hash.clone(),
-                workload: trace.label().to_string(),
-                seed: w.seed,
-                threads: 1,
-                path: path.into(),
-                reps: u64::from(REPS),
-                instrs,
-                wall_ms: wall * 1e3,
-                instrs_per_s: instrs as f64 / wall,
-                mpki,
-            });
-        }
+        let (wall, rep) = best_of(|| Session::options(&cfg).run(&trace));
+        let instrs = rep.stats.instructions.get();
+        let mpki = rep.stats.mpki();
+        println!("{:<28} {:>10} {:>8.3}", trace.label(), instrs, mpki);
+        eprintln!("{:<28} {:>12.1}", trace.label(), instrs as f64 / wall / 1e6);
+        suite_instrs += instrs;
+        suite_wall += wall;
+        suite_mispredicts += rep.stats.mispredictions();
+        records.push(record(trace.label(), w.seed, instrs, wall, mpki));
     }
 
-    for (path, (instrs, wall, mispredicts)) in &suite {
-        let mpki = if *instrs == 0 { 0.0 } else { *mispredicts as f64 * 1e3 / *instrs as f64 };
-        println!("suite [{path:>7}]: {instrs} instrs, mpki {mpki:.3}");
-        eprintln!(
-            "suite [{path:>7}]: {:.1} M instrs/s per thread ({:.1} ms)",
-            *instrs as f64 / wall / 1e6,
-            wall * 1e3,
-        );
-        records.push(ThroughputRecord {
-            experiment: "throughput".into(),
-            config: cfg.name.clone(),
-            config_hash: hash.clone(),
-            workload: "suite".into(),
-            seed: args.seed,
-            threads: 1,
-            path: (*path).into(),
-            reps: u64::from(REPS),
-            instrs: *instrs,
-            wall_ms: wall * 1e3,
-            instrs_per_s: *instrs as f64 / wall,
-            mpki,
-        });
-    }
+    let mpki =
+        if suite_instrs == 0 { 0.0 } else { suite_mispredicts as f64 * 1e3 / suite_instrs as f64 };
+    println!("suite: {suite_instrs} instrs, mpki {mpki:.3}");
+    eprintln!(
+        "suite: {:.1} M instrs/s per thread ({:.1} ms)",
+        suite_instrs as f64 / suite_wall / 1e6,
+        suite_wall * 1e3,
+    );
+    records.push(record("suite", args.seed, suite_instrs, suite_wall, mpki));
 
     if let Some(path) = &args.json {
         append_throughput_records(path, &records).expect("append schema-6 records");

@@ -763,10 +763,11 @@ pub fn read_simpoint_records(path: &Path) -> std::io::Result<Vec<SimPointRecord>
 /// One replay-throughput measurement row from the `throughput` binary
 /// (experiment E23), as recorded in `results/bench.json` (schema 6).
 ///
-/// The binary writes one row per (workload, path) pair — `path` is
-/// `"fast"` for the buffered monomorphized kernel and `"generic"` for
-/// the streaming session it is measured against — plus one
-/// suite-aggregate row per path (`workload: "suite"`). Wall times are
+/// The binary writes one row per workload plus one suite-aggregate row
+/// (`workload: "suite"`), all with `path: "generic"`: the streaming
+/// session every served stream runs. Older files also hold `"fast"`
+/// rows, from a buffered replay path that has since been deleted;
+/// readers keep parsing them. Wall times are
 /// best-of-`reps`: on shared CI machines a single timing can be 25–40%
 /// off, and the minimum over a few repetitions is the stable estimator
 /// of the achievable rate (PERFORMANCE.md §Measurement protocol).
@@ -790,7 +791,8 @@ pub struct ThroughputRecord {
     /// measures single-threaded, so rates are per-thread by
     /// construction).
     pub threads: u64,
-    /// `"fast"` (buffered kernel) or `"generic"` (streaming session).
+    /// `"generic"` (streaming session). `"fast"` appears only in rows
+    /// written before the buffered path was deleted.
     pub path: String,
     /// Timing repetitions the best-of wall time was taken over.
     pub reps: u64,
@@ -1318,7 +1320,7 @@ mod tests {
             workload: "suite".into(),
             seed: 42,
             threads: 1,
-            path: "fast".into(),
+            path: "generic".into(),
             reps: 5,
             instrs: 1_200_000,
             wall_ms: 31.7,

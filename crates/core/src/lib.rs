@@ -62,7 +62,6 @@ pub mod events;
 pub mod gpv;
 #[cfg(feature = "verify")]
 pub mod invariants;
-pub mod kernel;
 pub mod perceptron;
 pub mod pipeline;
 pub mod predictor;

@@ -27,7 +27,6 @@ use crate::events::{BplEvent, Probe};
 use crate::gpv::Gpv;
 #[cfg(feature = "verify")]
 use crate::invariants::{InvariantMonitor, InvariantViolation};
-use crate::kernel::{enabled, ConfigView, DynView, Z15View};
 use crate::perceptron::Perceptron;
 use crate::sbht::SpecOverride;
 use crate::stats::ZStats;
@@ -35,7 +34,7 @@ use crate::tage::{Pht, PhtLookup, TageTable};
 use crate::target::{TargetDecision, TargetProvider};
 use std::collections::VecDeque;
 use std::fmt;
-use zbp_model::{BranchRecord, MispredictKind, Prediction, Predictor, ReplayRequest, RunStats};
+use zbp_model::{BranchRecord, MispredictKind, Prediction, Predictor};
 use zbp_telemetry::Telemetry;
 use zbp_zarch::{static_guess, BranchClass, Direction, InstrAddr};
 
@@ -909,18 +908,12 @@ fn spht_key(t: usize, table: TageTable, way: u8, row: u32) -> u64 {
     ((t as u64) << 61) | (tb << 62) | (u64::from(way) << 48) | u64::from(row)
 }
 
-/// The real predict/resolve/flush bodies, generic over a
-/// [`ConfigView`]. The [`Predictor`] trait methods instantiate
-/// [`DynView`] (all questions answered at runtime — the pre-kernel
-/// behaviour, verbatim); the buffered-replay kernel instantiates
-/// [`Z15View`] when the config and observation state allow, compiling
-/// the observation call sites and absent-structure paths out of the hot
-/// loop. Statistics and predictor state evolution are identical across
-/// views by construction: a view only ever skips code whose effects the
-/// run cannot observe (disabled telemetry, absent probe, absent
-/// structure).
-impl ZPredictor {
-    pub(crate) fn predict_impl<V: ConfigView>(
+impl Predictor for ZPredictor {
+    fn predict(&mut self, addr: InstrAddr, class: BranchClass) -> Prediction {
+        self.predict_on(zbp_model::ThreadId::ZERO, addr, class)
+    }
+
+    fn predict_on(
         &mut self,
         thread: zbp_model::ThreadId,
         addr: InstrAddr,
@@ -937,7 +930,7 @@ impl ZPredictor {
 
         // BTB1 prediction port; BTBP promotion path on older designs.
         let (key, mut hit) = self.btb1.lookup_keyed(addr);
-        if hit.is_none() && enabled(V::BTBP, self.btbp.is_some()) {
+        if hit.is_none() {
             if let Some(p) = &mut self.btbp {
                 if let Some(promoted) = p.take_hit(addr) {
                     self.install_btb1(promoted, true);
@@ -946,11 +939,9 @@ impl ZPredictor {
             }
         }
         let btb1_hit = hit.is_some();
-        if V::OBSERVED {
-            self.emit(BplEvent::Btb1Search { addr, hit: btb1_hit });
-            self.tel.count("bpl.predictions", 1);
-            self.tel.count(if btb1_hit { "bpl.btb1_hits" } else { "bpl.surprises" }, 1);
-        }
+        self.emit(BplEvent::Btb1Search { addr, hit: btb1_hit });
+        self.tel.count("bpl.predictions", 1);
+        self.tel.count(if btb1_hit { "bpl.btb1_hits" } else { "bpl.surprises" }, 1);
 
         let prediction = match hit {
             None => {
@@ -975,16 +966,14 @@ impl ZPredictor {
                     tgt: None,
                 });
                 let p = Prediction::surprise(class, None);
-                if V::OBSERVED {
-                    self.emit(BplEvent::Predict {
-                        addr,
-                        dynamic: false,
-                        direction: p.direction,
-                        target: p.target,
-                        dir_provider: DirectionProvider::StaticGuess,
-                        tgt_provider: None,
-                    });
-                }
+                self.emit(BplEvent::Predict {
+                    addr,
+                    dynamic: false,
+                    direction: p.direction,
+                    target: p.target,
+                    dir_provider: DirectionProvider::StaticGuess,
+                    tgt_provider: None,
+                });
                 p
             }
             Some((way, entry)) => {
@@ -1004,11 +993,7 @@ impl ZPredictor {
                 };
                 if dd.dir.is_taken() {
                     self.threads[t].spec_gpv.push_taken(addr);
-                    let skoot_lines = if enabled(V::SKOOT, self.cfg.skoot) {
-                        entry.skoot.skip_lines()
-                    } else {
-                        0
-                    };
+                    let skoot_lines = if self.cfg.skoot { entry.skoot.skip_lines() } else { 0 };
                     let target = tgt.expect("taken has target").target;
                     self.end_stream(t, addr, way, target, skoot_lines);
                 }
@@ -1022,16 +1007,14 @@ impl ZPredictor {
                     dir: dd,
                     tgt,
                 });
-                if V::OBSERVED {
-                    self.emit(BplEvent::Predict {
-                        addr,
-                        dynamic: true,
-                        direction: dd.dir,
-                        target: p.target,
-                        dir_provider: dd.provider,
-                        tgt_provider: tgt.map(|t| t.provider),
-                    });
-                }
+                self.emit(BplEvent::Predict {
+                    addr,
+                    dynamic: true,
+                    direction: dd.dir,
+                    target: p.target,
+                    dir_provider: dd.provider,
+                    tgt_provider: tgt.map(|t| t.provider),
+                });
                 p
             }
         };
@@ -1046,9 +1029,7 @@ impl ZPredictor {
             self.inv.check_gpq_push(occupancy, prev_seq, new_seq, addr);
         }
 
-        if V::OBSERVED {
-            self.tel.record("gpq.occupancy", self.threads[t].gpq.len() as u64);
-        }
+        self.tel.record("gpq.occupancy", self.threads[t].gpq.len() as u64);
 
         // BTB2 trigger logic rides on search outcomes. The transfer
         // engine runs *after* the prediction is published: a staged
@@ -1067,30 +1048,25 @@ impl ZPredictor {
                 if let Some(b2) = &mut self.btb2 {
                     b2.refresh(lru);
                 }
-                if V::OBSERVED {
-                    self.emit(BplEvent::Btb2Refresh { entry: lru });
-                }
+                self.emit(BplEvent::Btb2Refresh { entry: lru });
             }
         }
         if let Some(reason) = fire {
             let staged = self.btb2.as_mut().map(|b2| b2.search(addr, reason)).unwrap_or(0);
-            if V::OBSERVED {
-                self.tel.count("btb2.searches", 1);
-                self.tel.record("btb2.staged_per_search", staged as u64);
-                self.emit(BplEvent::Btb2Search { addr, reason, staged });
-            }
+            self.tel.count("btb2.searches", 1);
+            self.tel.record("btb2.staged_per_search", staged as u64);
+            self.emit(BplEvent::Btb2Search { addr, reason, staged });
             self.drain_staging();
         }
 
         prediction
     }
 
-    pub(crate) fn resolve_impl<V: ConfigView>(
-        &mut self,
-        thread: zbp_model::ThreadId,
-        rec: &BranchRecord,
-        pred: &Prediction,
-    ) {
+    fn resolve(&mut self, rec: &BranchRecord, pred: &Prediction) {
+        self.resolve_on(zbp_model::ThreadId::ZERO, rec, pred)
+    }
+
+    fn resolve_on(&mut self, thread: zbp_model::ThreadId, rec: &BranchRecord, pred: &Prediction) {
         let t = usize::from(thread.0.min(1));
         // Pop the matching GPQ entry (retire order, per thread).
         let info = loop {
@@ -1114,19 +1090,17 @@ impl ZPredictor {
             }
         };
         let resolved = rec.direction();
-        if V::OBSERVED {
-            let mispredicted = MispredictKind::classify(pred, rec).is_some();
-            self.tel.count("bpl.completions", 1);
-            if mispredicted {
-                self.tel.count("bpl.mispredicts", 1);
-            }
-            self.emit(BplEvent::Complete {
-                addr: rec.addr,
-                resolved,
-                target: rec.target,
-                mispredicted,
-            });
+        let mispredicted = MispredictKind::classify(pred, rec).is_some();
+        self.tel.count("bpl.completions", 1);
+        if mispredicted {
+            self.tel.count("bpl.mispredicts", 1);
         }
+        self.emit(BplEvent::Complete {
+            addr: rec.addr,
+            resolved,
+            target: rec.target,
+            mispredicted,
+        });
 
         // Architected history.
         if rec.taken {
@@ -1170,7 +1144,7 @@ impl ZPredictor {
         // (the white-box monitors' reference image follows these). The
         // read-port probe only runs when a probe is attached: it is a
         // full row scan per completion, pure observation either way.
-        if V::OBSERVED && self.probe.is_some() {
+        if self.probe.is_some() {
             if let Some((_, e)) = self.btb1.probe_keyed(info.key) {
                 let entry = *e;
                 self.emit(BplEvent::Btb1Update { entry });
@@ -1179,7 +1153,7 @@ impl ZPredictor {
 
         // SKOOT distance learning: this branch is the first predictable
         // branch along the previous taken branch's target stream.
-        if enabled(V::SKOOT, self.cfg.skoot) {
+        if self.cfg.skoot {
             if let Some((prev_branch, prev_key, prev_target)) =
                 self.threads[t].last_completed_taken.take()
             {
@@ -1216,11 +1190,11 @@ impl ZPredictor {
         }
     }
 
-    pub(crate) fn flush_impl<V: ConfigView>(
-        &mut self,
-        thread: zbp_model::ThreadId,
-        rec: &BranchRecord,
-    ) {
+    fn flush(&mut self, rec: &BranchRecord) {
+        self.flush_on(zbp_model::ThreadId::ZERO, rec)
+    }
+
+    fn flush_on(&mut self, thread: zbp_model::ThreadId, rec: &BranchRecord) {
         let t = usize::from(thread.0.min(1));
         let ctx = &mut self.threads[t];
         let arch = ctx.arch_gpv;
@@ -1240,41 +1214,8 @@ impl ZPredictor {
         self.threads[t].prev_stream_slot = None;
         self.threads[t].stream_reset_pending = false;
         self.enter_stream(t, rec.next_pc());
-        if V::OBSERVED {
-            self.tel.count("bpl.flushes", 1);
-            self.emit(BplEvent::Flush);
-        }
-    }
-}
-
-impl Predictor for ZPredictor {
-    fn predict(&mut self, addr: InstrAddr, class: BranchClass) -> Prediction {
-        self.predict_on(zbp_model::ThreadId::ZERO, addr, class)
-    }
-
-    fn predict_on(
-        &mut self,
-        thread: zbp_model::ThreadId,
-        addr: InstrAddr,
-        class: BranchClass,
-    ) -> Prediction {
-        self.predict_impl::<DynView>(thread, addr, class)
-    }
-
-    fn resolve(&mut self, rec: &BranchRecord, pred: &Prediction) {
-        self.resolve_on(zbp_model::ThreadId::ZERO, rec, pred)
-    }
-
-    fn resolve_on(&mut self, thread: zbp_model::ThreadId, rec: &BranchRecord, pred: &Prediction) {
-        self.resolve_impl::<DynView>(thread, rec, pred)
-    }
-
-    fn flush(&mut self, rec: &BranchRecord) {
-        self.flush_on(zbp_model::ThreadId::ZERO, rec)
-    }
-
-    fn flush_on(&mut self, thread: zbp_model::ThreadId, rec: &BranchRecord) {
-        self.flush_impl::<DynView>(thread, rec)
+        self.tel.count("bpl.flushes", 1);
+        self.emit(BplEvent::Flush);
     }
 
     fn name(&self) -> String {
@@ -1283,25 +1224,6 @@ impl Predictor for ZPredictor {
 
     fn storage_bits(&self) -> u64 {
         self.cfg.storage_bits()
-    }
-
-    /// Claims a buffered replay with the monomorphized kernel when —
-    /// and only when — skipping the observation call sites is
-    /// unobservable (no probe attached, telemetry disabled) and the
-    /// live config honours the fast view's structure claims (the
-    /// default z15 shape). Everything else falls back to the generic
-    /// record-by-record loop by returning `None`; both paths are
-    /// byte-identical (pinned by the parity tests in
-    /// `crates/core/tests/`).
-    fn replay_buffer(&mut self, req: &ReplayRequest<'_>) -> Option<RunStats> {
-        if self.probe.is_some() || self.tel.is_enabled() {
-            return None;
-        }
-        if Z15View::matches(&self.cfg) {
-            Some(crate::kernel::run::<Z15View>(self, req))
-        } else {
-            None
-        }
     }
 }
 

@@ -5,7 +5,7 @@ use crate::metrics::MispredictStats;
 use crate::predictor::{MispredictKind, Prediction, Predictor};
 use crate::profile::BranchTable;
 use std::collections::VecDeque;
-use zbp_telemetry::{Snapshot, Telemetry, Track};
+use zbp_telemetry::{Telemetry, Track};
 
 /// The streaming core of the delayed-update replay protocol: feed
 /// [`BranchRecord`]s one at a time with [`ReplayCore::step`], then
@@ -222,47 +222,6 @@ impl ReplayCore {
         self.out
     }
 
-    /// Replays a pre-decoded [`ReplayBuffer`](crate::ReplayBuffer)
-    /// through a fresh core with telemetry disabled — the buffered
-    /// counterpart of [`ReplayCore::replay`].
-    ///
-    /// The predictor is first offered the run through
-    /// [`Predictor::replay_buffer`]; a predictor with a specialized
-    /// kernel (e.g. `ZPredictor`'s config-monomorphized fast path)
-    /// claims it there, and everything else falls back to the generic
-    /// record-by-record loop. Both paths produce byte-identical
-    /// [`RunStats`].
-    pub fn run_buffer<P: Predictor + ?Sized>(
-        depth: usize,
-        pred: &mut P,
-        buf: &crate::ReplayBuffer,
-    ) -> RunStats {
-        Self::run_buffer_with(depth, pred, buf, false)
-    }
-
-    /// [`run_buffer`](Self::run_buffer) with per-static-branch
-    /// profiling optionally enabled (the profile lands in
-    /// [`RunStats::profile`]).
-    pub fn run_buffer_with<P: Predictor + ?Sized>(
-        depth: usize,
-        pred: &mut P,
-        buf: &crate::ReplayBuffer,
-        profiling: bool,
-    ) -> RunStats {
-        let req = crate::ReplayRequest { buffer: buf, depth, profiling };
-        if let Some(out) = pred.replay_buffer(&req) {
-            return out;
-        }
-        let mut tel = Telemetry::disabled();
-        let mut core = ReplayCore::new(depth);
-        core.set_profiling(profiling);
-        for i in 0..buf.len() {
-            let rec = buf.record(i);
-            core.step(pred, &rec, &mut tel);
-        }
-        core.finish(pred, buf.tail_instrs())
-    }
-
     /// Replays a whole trace through a fresh core with telemetry
     /// disabled — the one-call form of [`ReplayCore::step`] +
     /// [`ReplayCore::finish`] for driving *custom* [`Predictor`]
@@ -279,31 +238,6 @@ impl ReplayCore {
             core.step(pred, rec, &mut tel);
         }
         core.finish(pred, trace.tail_instrs())
-    }
-
-    /// Replays a whole trace, recording harness-level telemetry into
-    /// `tel` and returning the snapshot alongside the statistics.
-    /// (Predictor-internal telemetry is installed on the predictor
-    /// itself, not through the harness.) Statistics are identical
-    /// whether `tel` is enabled or disabled.
-    pub fn replay_traced<P: Predictor + ?Sized>(
-        depth: usize,
-        pred: &mut P,
-        trace: &crate::DynamicTrace,
-        mut tel: Telemetry,
-    ) -> (RunStats, Snapshot) {
-        let mut core = ReplayCore::new(depth);
-        for rec in trace.branches() {
-            core.step(pred, rec, &mut tel);
-        }
-        let out = core.finish(pred, trace.tail_instrs());
-        debug_assert_eq!(
-            out.stats.instructions.get(),
-            trace.instruction_count(),
-            "per-branch accounting in MispredictStats::record plus the trace tail must \
-             reconstruct the trace's instruction count exactly"
-        );
-        (out, tel.into_snapshot())
     }
 }
 
@@ -452,12 +386,14 @@ mod tests {
             vec![taken_at(0x10), taken_at(0x10), taken_at(0x10), taken_at(0x10)],
         );
         let plain = ReplayCore::replay(16, &mut LastCompleted::default(), &trace);
-        let (traced, snap) = ReplayCore::replay_traced(
-            16,
-            &mut LastCompleted::default(),
-            &trace,
-            Telemetry::enabled(),
-        );
+        let mut tel = Telemetry::enabled();
+        let mut p = LastCompleted::default();
+        let mut core = ReplayCore::new(16);
+        for rec in trace.branches() {
+            core.step(&mut p, rec, &mut tel);
+        }
+        let traced = core.finish(&mut p, trace.tail_instrs());
+        let snap = tel.into_snapshot();
         assert_eq!(plain.stats.mispredictions(), traced.stats.mispredictions());
         assert_eq!(plain.flushes, traced.flushes);
         assert_eq!(snap.counter("harness.branches"), 4);

@@ -13,7 +13,11 @@
 //! * [`ReplayCore`] — drives a predictor over a trace with a
 //!   configurable predict→resolve gap, modeling the long in-flight
 //!   window the paper's §IV highlights (the motivation for the
-//!   speculative BHT/PHT);
+//!   speculative BHT/PHT). It is the workspace's one delayed-update
+//!   replay loop: `zbp_serve::Session` (served streams and one-shot
+//!   runs alike) feeds records through [`ReplayCore::step`] and
+//!   [`ReplayCore::finish`], and custom predictors can use the
+//!   one-call [`ReplayCore::replay`];
 //! * [`MispredictStats`] and friends — MPKI and misprediction-breakdown
 //!   accounting;
 //! * [`BranchTable`] — optional per-static-branch profiling for H2P
@@ -38,7 +42,6 @@ mod harness;
 mod metrics;
 mod predictor;
 mod profile;
-mod replay;
 mod trace;
 
 pub use branch::{BranchRecord, ThreadId};
@@ -46,5 +49,4 @@ pub use harness::{ReplayCore, RunStats};
 pub use metrics::{Counter, MispredictStats, Ratio};
 pub use predictor::{DirectionPredictor, MispredictKind, Prediction, Predictor, TargetPredictor};
 pub use profile::{BranchCounts, BranchTable};
-pub use replay::{ReplayBuffer, ReplayRequest};
 pub use trace::{DynamicTrace, TraceSummary};

@@ -211,23 +211,6 @@ pub trait Predictor {
     fn flush_on(&mut self, _thread: ThreadId, rec: &BranchRecord) {
         self.flush(rec)
     }
-
-    /// Offers the predictor a whole buffered replay
-    /// ([`ReplayRequest`](crate::ReplayRequest)) to run with a
-    /// specialized kernel. Returning `Some(stats)` claims the run;
-    /// `None` (the default) falls back to the generic record-by-record
-    /// loop in [`ReplayCore::run_buffer`](crate::ReplayCore::run_buffer).
-    ///
-    /// The contract is strict: a claiming implementation must produce
-    /// statistics, flush counts, profiles, and predictor end-state
-    /// **byte-identical** to the generic loop at the same depth — the
-    /// hook exists to change the cost of a replay, never its result.
-    /// `ZPredictor` claims runs only when no probe or telemetry is
-    /// observing (so nothing an observer would see can be skipped) and
-    /// proves parity in its test suite.
-    fn replay_buffer(&mut self, _req: &crate::ReplayRequest<'_>) -> Option<crate::RunStats> {
-        None
-    }
 }
 
 /// Every direction-only baseline plays the full protocol with

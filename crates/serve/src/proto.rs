@@ -42,19 +42,14 @@ use zbp_zarch::{InstrAddr, Mnemonic};
 use crate::session::{ReplayMode, SessionReport, DEFAULT_DEPTH};
 
 /// Hard ceiling on a frame's payload size (1 MiB). At
-/// [`RECORD_BYTES`] per record this allows batches of ~34k branches.
+/// [`RECORD_BYTES`] per record this allows batches of ~40k branches.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Bytes a `Feed` batch is budgeted per record: a decoder rejects a
-/// count whose budget exceeds [`MAX_FRAME`], and
+/// Encoded size of one [`BranchRecord`] on the wire. A decoder rejects
+/// a `Feed` count whose records would exceed [`MAX_FRAME`], and
 /// [`Client::run_trace`](crate::Client::run_trace) caps its batches at
-/// `MAX_FRAME / RECORD_BYTES`. An encoded record is 26 bytes; the
-/// budget is kept at 30 because both limits are part of the protocol's
-/// observable behaviour.
-pub const RECORD_BYTES: usize = 30;
-
-/// Encoded size of one [`BranchRecord`] on the wire.
-const RECORD_WIRE_BYTES: usize = 26;
+/// `MAX_FRAME / RECORD_BYTES`.
+pub const RECORD_BYTES: usize = 26;
 
 /// Current protocol revision, carried in the `Hello`/`HelloOk`
 /// handshake. Bump on any incompatible frame-layout change.
@@ -331,7 +326,7 @@ const MNEMONIC_AT: usize = 16;
 /// One record's 26-byte wire layout: address, target, mnemonic code,
 /// taken, thread, a pad byte, gap, two pad bytes.
 #[rustfmt::skip] // one row per field group, so the layout reads as a table
-fn record_bytes(r: &BranchRecord) -> [u8; RECORD_WIRE_BYTES] {
+fn record_bytes(r: &BranchRecord) -> [u8; RECORD_BYTES] {
     let [a0, a1, a2, a3, a4, a5, a6, a7] = r.addr.raw().to_le_bytes();
     let [t0, t1, t2, t3, t4, t5, t6, t7] = r.target.raw().to_le_bytes();
     let [g0, g1, g2, g3] = r.gap_instrs.to_le_bytes();
@@ -347,7 +342,7 @@ fn record_bytes(r: &BranchRecord) -> [u8; RECORD_WIRE_BYTES] {
 /// Parses one record laid out by [`record_bytes`]; only the mnemonic
 /// code can be invalid.
 #[rustfmt::skip] // the pattern mirrors `record_bytes`' table
-fn record_from(b: &[u8; RECORD_WIRE_BYTES]) -> Result<BranchRecord, ProtoError> {
+fn record_from(b: &[u8; RECORD_BYTES]) -> Result<BranchRecord, ProtoError> {
     let [
         a0, a1, a2, a3, a4, a5, a6, a7,
         t0, t1, t2, t3, t4, t5, t6, t7,
@@ -371,8 +366,8 @@ fn record_from(b: &[u8; RECORD_WIRE_BYTES]) -> Result<BranchRecord, ProtoError> 
 /// mnemonic" if the partial record's mnemonic byte arrived and is
 /// unknown, else "truncated frame".
 fn decode_feed_records(r: &mut Cursor<'_>, n: usize) -> Result<Vec<BranchRecord>, ProtoError> {
-    let body = r.take_up_to(n * RECORD_WIRE_BYTES);
-    let (records, partial) = body.as_chunks::<RECORD_WIRE_BYTES>();
+    let body = r.take_up_to(n * RECORD_BYTES);
+    let (records, partial) = body.as_chunks::<RECORD_BYTES>();
     let mut batch = Vec::with_capacity(n);
     for rec in records {
         batch.push(record_from(rec)?);
@@ -566,7 +561,7 @@ fn encode(frame: &Frame, out: &mut Vec<u8>) {
             out.extend_from_slice(label);
         }
         Frame::Feed { id, batch } => {
-            out.reserve(FEED_HEADER_BYTES + RECORD_WIRE_BYTES * batch.len());
+            out.reserve(FEED_HEADER_BYTES + RECORD_BYTES * batch.len());
             out.push(OP_FEED);
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&(batch.len() as u32).to_le_bytes());

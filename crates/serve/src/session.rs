@@ -5,15 +5,12 @@
 //! a shard serve many concurrently-open streams.
 
 use zbp_core::{PredictorConfig, StateImage, ZPredictor};
-use zbp_model::{
-    BranchRecord, BranchTable, DynamicTrace, MispredictStats, ReplayBuffer, ReplayCore,
-};
+use zbp_model::{BranchRecord, BranchTable, DynamicTrace, MispredictStats, ReplayCore};
 use zbp_telemetry::{Snapshot, Telemetry};
 use zbp_uarch::{CosimConfig, CosimReport, LookaheadReport};
 
 /// Builder for every way a [`Session`] can be configured and driven —
-/// the single replay entry point that replaced the combinatorial
-/// `run`/`run_traced`/`run_buffer`/`run_buffer_profiled` statics.
+/// the single replay entry point.
 ///
 /// ```
 /// use zbp_core::GenerationPreset;
@@ -57,8 +54,7 @@ impl<'a> SessionOptions<'a> {
     }
 
     /// Record telemetry into [`SessionReport::telemetry`]. Statistics
-    /// are identical either way; the buffer fast path
-    /// ([`run_buffer`](SessionOptions::run_buffer)) stays untraced.
+    /// are identical either way.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.traced = on;
         self
@@ -116,45 +112,6 @@ impl<'a> SessionOptions<'a> {
             ReplayMode::Lookahead => {
                 run_whole(self.cfg, &WholeMode::Lookahead, trace, self.traced, trace.branch_count())
             }
-        }
-    }
-
-    /// One-shot replay of a pre-decoded [`ReplayBuffer`] under the
-    /// delayed-update protocol — the fast path. The predictor may claim
-    /// the run with its config-monomorphized kernel (`ZPredictor` does
-    /// for the default z15 shape); either way the report is
-    /// byte-identical to [`run`](SessionOptions::run) over the buffer's
-    /// source trace at the same depth. Uses the mode's depth when the
-    /// mode is delayed, [`DEFAULT_DEPTH`] otherwise; telemetry and
-    /// warmup do not apply on this path.
-    ///
-    /// ```
-    /// use zbp_core::GenerationPreset;
-    /// use zbp_model::ReplayBuffer;
-    /// use zbp_serve::{ReplayMode, Session};
-    ///
-    /// let trace = zbp_trace::workloads::compute_loop(1, 2_000).dynamic_trace();
-    /// let buf = ReplayBuffer::from_trace(&trace);
-    /// let cfg = GenerationPreset::Z15.config();
-    /// let fast = Session::options(&cfg).run_buffer(&buf);
-    /// let streamed = Session::options(&cfg).mode(ReplayMode::default()).run(&trace);
-    /// assert_eq!(fast.stats, streamed.stats);
-    /// ```
-    pub fn run_buffer(self, buf: &ReplayBuffer) -> SessionReport {
-        let depth = match self.mode {
-            ReplayMode::Delayed { depth } => depth,
-            _ => DEFAULT_DEPTH,
-        };
-        let mut pred = ZPredictor::new(self.cfg.clone());
-        let run = ReplayCore::run_buffer_with(depth, &mut pred, buf, self.profiling);
-        SessionReport {
-            stats: run.stats,
-            flushes: run.flushes,
-            records: buf.len() as u64,
-            cosim: None,
-            lookahead: None,
-            telemetry: None,
-            profile: run.profile,
         }
     }
 }

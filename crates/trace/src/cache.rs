@@ -12,7 +12,7 @@
 use crate::workloads::Workload;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use zbp_model::{DynamicTrace, ReplayBuffer};
+use zbp_model::DynamicTrace;
 
 /// Identity of a generated trace — the cache-key contract.
 ///
@@ -66,13 +66,8 @@ impl TraceKey {
 #[derive(Debug, Default)]
 pub struct TraceCache {
     map: Mutex<std::collections::BTreeMap<TraceKey, Arc<OnceLock<Arc<DynamicTrace>>>>>,
-    /// Pre-decoded replay buffers, keyed like the traces they derive
-    /// from. A separate map (rather than a combined value) so trace-only
-    /// consumers never pay the buffer build.
-    buffers: Mutex<std::collections::BTreeMap<TraceKey, Arc<OnceLock<Arc<ReplayBuffer>>>>>,
     hits: AtomicU64,
     generations: AtomicU64,
-    buffer_builds: AtomicU64,
 }
 
 impl TraceCache {
@@ -165,36 +160,6 @@ impl TraceCache {
         Ok(Arc::clone(trace))
     }
 
-    /// The pre-decoded [`ReplayBuffer`] for `w`'s trace, built on first
-    /// use — the parse/decode cost is paid once per key, after which
-    /// every replay (any config, any thread) streams the same flat
-    /// columns.
-    ///
-    /// Same sharing discipline as [`TraceCache::trace`]: repeated calls
-    /// return clones of one `Arc`, and concurrent same-key callers wait
-    /// on a single in-flight build instead of duplicating it (the
-    /// underlying trace itself comes through [`TraceCache::trace`], so
-    /// its once-per-key guarantee holds too).
-    pub fn buffer(&self, w: &Workload) -> Arc<ReplayBuffer> {
-        let slot = {
-            let mut map = self.buffers.lock().expect("buffer cache poisoned");
-            Arc::clone(map.entry(TraceKey::of(w)).or_default())
-        };
-        // Build outside the map lock; the OnceLock serializes same-key
-        // racers down to one build.
-        Arc::clone(slot.get_or_init(|| {
-            self.buffer_builds.fetch_add(1, Ordering::Relaxed);
-            Arc::new(ReplayBuffer::from_trace(&self.trace(w)))
-        }))
-    }
-
-    /// Number of times a replay buffer was actually decoded. After any
-    /// quiescent point this equals the number of distinct keys ever
-    /// passed to [`TraceCache::buffer`], however many threads raced.
-    pub fn buffer_builds(&self) -> u64 {
-        self.buffer_builds.load(Ordering::Relaxed)
-    }
-
     /// Number of distinct traces currently cached (slots whose
     /// generation is still in flight are not counted).
     pub fn len(&self) -> usize {
@@ -229,7 +194,6 @@ impl TraceCache {
     /// outstanding `Arc`s stay valid).
     pub fn clear(&self) {
         self.map.lock().expect("trace cache poisoned").clear();
-        self.buffers.lock().expect("buffer cache poisoned").clear();
     }
 }
 
@@ -313,57 +277,6 @@ mod tests {
         assert_eq!(unique.len(), 1, "all racing threads share one allocation");
         assert_eq!(cache.generations(), 1, "the generator ran exactly once");
         assert_eq!(cache.hits(), 3, "the three non-generating threads count as hits");
-    }
-
-    #[test]
-    fn buffer_is_decoded_once_and_matches_the_trace() {
-        let cache = TraceCache::new();
-        let w = workloads::patterned(13, 3_000);
-        let a = cache.buffer(&w);
-        let b = cache.buffer(&w);
-        assert!(Arc::ptr_eq(&a, &b), "same key shares one decoded buffer");
-        assert_eq!(cache.buffer_builds(), 1);
-        assert_eq!(cache.generations(), 1, "the buffer build reuses the cached trace");
-        let trace = cache.trace(&w);
-        assert_eq!(a.len() as u64, trace.branch_count());
-        assert_eq!(a.tail_instrs(), trace.tail_instrs());
-        for (i, r) in trace.branches().enumerate() {
-            assert_eq!(&a.record(i), r);
-        }
-    }
-
-    #[test]
-    fn barrier_race_builds_buffer_exactly_once() {
-        let cache = TraceCache::new();
-        let n = 8;
-        let barrier = std::sync::Barrier::new(n);
-        let ptrs: Vec<_> = std::thread::scope(|s| {
-            (0..n)
-                .map(|_| {
-                    s.spawn(|| {
-                        barrier.wait();
-                        Arc::as_ptr(&cache.buffer(&workloads::lspr_like(22, 3_000))) as usize
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("no panic"))
-                .collect()
-        });
-        let unique: std::collections::HashSet<_> = ptrs.into_iter().collect();
-        assert_eq!(unique.len(), 1, "all racing threads share one decoded buffer");
-        assert_eq!(cache.buffer_builds(), 1, "simultaneous same-key lookups must not re-decode");
-        assert_eq!(cache.generations(), 1, "and the trace generated once underneath");
-    }
-
-    #[test]
-    fn clear_drops_buffers_too() {
-        let cache = TraceCache::new();
-        let w = workloads::compute_loop(6, 2_000);
-        let _ = cache.buffer(&w);
-        cache.clear();
-        let _ = cache.buffer(&w);
-        assert_eq!(cache.buffer_builds(), 2, "cleared buffers rebuild on next use");
     }
 
     #[test]

@@ -58,14 +58,6 @@ impl Workload {
     pub fn cached_trace(&self) -> std::sync::Arc<DynamicTrace> {
         crate::cache::TraceCache::global().trace(self)
     }
-
-    /// This workload's pre-decoded replay buffer, generated and decoded
-    /// once per key in the process-wide [`TraceCache`](crate::TraceCache)
-    /// — the fast-path counterpart of
-    /// [`cached_trace`](Self::cached_trace).
-    pub fn cached_buffer(&self) -> std::sync::Arc<zbp_model::ReplayBuffer> {
-        crate::cache::TraceCache::global().buffer(self)
-    }
 }
 
 /// Function-slot spacing: generated function bodies stay well under

@@ -361,3 +361,25 @@ fn a_frame_leaves_in_one_write_and_an_oversized_one_writes_nothing() {
     }
     assert_eq!((w.writes, w.bytes), (0, 0));
 }
+
+#[test]
+fn a_feed_of_40329_records_fits_one_frame_and_40330_is_rejected_like_the_oracle() {
+    // A 13-byte header plus 40 329 records of 26 bytes is 1 048 567 bytes,
+    // the most whole records `MAX_FRAME` holds.
+    assert_eq!(MAX_FRAME / RECORD_BYTES, 40_329);
+    let record = BranchRecord::new(InstrAddr::new(0x10), Mnemonic::J, true, InstrAddr::new(0x80));
+    let frame = Frame::Feed { id: 7, batch: vec![record; 40_329] };
+    let wire = wire_of(&frame);
+    assert_eq!(wire.len() - 4, 13 + 40_329 * 26);
+    same_decode(&wire[4..]).unwrap();
+    same_read(&wire).unwrap();
+    assert_eq!(Frame::read_from(&mut &wire[..]).unwrap(), Some(frame));
+
+    let mut over = wire[4..].to_vec();
+    over[9..13].copy_from_slice(&40_330u32.to_le_bytes());
+    assert_eq!(
+        shown(Frame::decode(&over)),
+        Err("malformed frame: batch count exceeds frame limit".to_string())
+    );
+    same_decode(&over).unwrap();
+}
